@@ -312,7 +312,7 @@ def run_bench(cfg: RunConfig) -> int:
 
     header = (
         "method,length,window_a,window_b,gamma,seed,band_radius,"
-        "pairs_total,pairs_after_prune,dtw_evaluations,runtime_ms"
+        "pairs_total,pairs_after_prune,dtw_evaluations,dp_cells,runtime_ms"
     )
     lines = [header]
     for length, (wa, wb), gamma, seed in itertools.product(lengths, windows, gammas, seeds):
@@ -342,6 +342,7 @@ def run_bench(cfg: RunConfig) -> int:
                         result.stats.pairs_total,
                         result.stats.pairs_after_prune,
                         result.stats.dtw_evaluations,
+                        result.stats.dp_cells,
                         statistics.median(times),
                     )
                 )

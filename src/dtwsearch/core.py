@@ -14,9 +14,9 @@ import numpy as np
 # Absolute tolerance used to group tied distances and to pad bound
 # comparisons. Floating-point summation order makes bit-equality between
 # independently computed DTW values fragile; every distance comparison in
-# the search (tie membership, candidate retention, early exit) uses this
-# single constant so the pruned search and the brute-force search group
-# ties identically.
+# the search (tie membership, candidate retention, early exit, early
+# abandoning) uses this single constant so the pruned search and the
+# brute-force search group ties identically.
 TIE_TOLERANCE = 1e-9
 
 
@@ -196,13 +196,16 @@ class SearchStats:
 
     pairs_total is the number of window placements, pairs_after_prune the
     number surviving the bound-based prune, dtw_evaluations the number of
-    exact DTW computations actually performed.
+    placements whose exact DTW was started, and dp_cells the number of DP
+    cells computed for them (fewer than evaluations times window cells when
+    placements are abandoned early).
     """
 
     pairs_total: int
     pairs_after_prune: int
     dtw_evaluations: int
     runtime_ms: float
+    dp_cells: int = 0
 
     def __post_init__(self):
         if not (self.dtw_evaluations <= self.pairs_after_prune <= self.pairs_total):
@@ -210,6 +213,8 @@ class SearchStats:
                 "counter ordering violated: expected dtw_evaluations <= "
                 f"pairs_after_prune <= pairs_total, got {self}"
             )
+        if self.dp_cells < 0:
+            raise InvalidSpec(f"dp_cells must be nonnegative, got {self.dp_cells}")
 
 
 @dataclass(frozen=True)

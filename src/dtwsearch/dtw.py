@@ -14,7 +14,8 @@ Three routes to the same quantity, each serving a different purpose:
 ``dtw_batch`` and ``dtw_matrix_full`` evaluate many placements at once by
 running the same recurrence vectorized across placements; cell-level
 operation order is identical to the scalar version, so values agree
-bitwise.
+bitwise. Given a threshold, ``dtw_batch`` also abandons each placement
+whose lower bound passes it, part way through its rows.
 """
 from __future__ import annotations
 
@@ -243,25 +244,74 @@ def _resolve_ranges(omega_u, omega_w, radius):
     return band_column_ranges(omega_u, omega_w, radius)
 
 
-def dtw_batch(m, omega_u: int, omega_w: int, a0, b0, *, radius: int | None = None) -> np.ndarray:
+def window_cells(omega_u: int, omega_w: int, radius: int | None = None) -> int:
+    """DP cells of one placement: the whole window, or the band's cells."""
+    lo, hi = _resolve_ranges(omega_u, omega_w, radius)
+    return int((hi - lo + 1).sum())
+
+
+_ABANDON_EVERY = 4
+
+
+def _front(buf: np.ndarray, width: int) -> np.ndarray:
+    """The first rows*width elements of a contiguous buffer, as rows of the given width."""
+    return buf.reshape(-1)[: buf.shape[0] * width].reshape(buf.shape[0], width)
+
+
+def dtw_batch(m, omega_u: int, omega_w: int, a0, b0, *, radius: int | None = None, threshold=None, pool=None):
     """Windowed DTW at many placements at once (0-based start arrays).
 
     Runs the rolling-row recurrence with the placement axis vectorized;
-    per-cell operation order matches dtw_windowed exactly.
+    per-cell operation order matches dtw_windowed exactly. Returns the
+    distances and the number of DP cells computed.
+
+    With a threshold and the min-pool grid of the matrix (``pool[i, j]``,
+    the minimum of row i over columns j .. j+omega_w-1), placements are
+    abandoned early: every few rows, a placement whose lower bound exceeds
+    the threshold is dropped from the batch and returned as +inf. The bound
+    is sound because a warping path leaves row p from some cell of it, so
+    its cost is at least the smallest accumulated value in row p, and it
+    then visits every later row at least once, each visit costing at least
+    that row's pool minimum. An abandoned placement's true DTW therefore
+    exceeds the threshold; every other value is exact. The caller pads the
+    threshold by its tie tolerance.
     """
     arr = _entries(m)
     n, cols = arr.shape
     a0 = np.asarray(a0, dtype=np.int64)
     b0 = np.asarray(b0, dtype=np.int64)
     if a0.size == 0:
-        return np.empty(0)
+        return np.empty(0), 0
     if a0.min() < 0 or b0.min() < 0 or a0.max() + omega_u > n or b0.max() + omega_w > cols:
         raise IndexOutOfRange("some placements do not fit the distance matrix")
     lo, hi = _resolve_ranges(omega_u, omega_w, radius)
+    # Whether the band connects the corners depends on the shape alone: each
+    # row's band must start at most one column past the previous row's end.
+    if radius is not None and not (np.all(lo[1:] <= hi[:-1] + 1) and hi[-1] == omega_w - 1):
+        raise BandInfeasible(
+            f"radius {radius} band disconnects the corners of a ({omega_u},{omega_w}) window"
+        )
     flat = arr.ravel()
     base = a0 * cols + b0
     nb = a0.size
     inf = np.inf
+    out = np.full(nb, inf)
+    alive = np.arange(nb)
+
+    if threshold is not None:
+        if pool is None:
+            raise InvalidSpec("abandoning against a threshold needs the min-pool grid")
+        # rest[p // _ABANDON_EVERY] = sum of the pool minima of rows p .. omega_u-1,
+        # kept only for the rows where placements are checked.
+        pcols = pool.shape[1]
+        pbase = a0 * pcols + b0
+        pflat = pool.ravel()
+        rest = np.empty((omega_u // _ABANDON_EVERY + 1, nb))
+        tail = np.zeros(nb)
+        for p in range(omega_u - 1, 0, -1):
+            tail = tail + pflat[pbase + p * pcols]
+            if p % _ABANDON_EVERY == 0:
+                rest[p // _ABANDON_EVERY] = tail
 
     prev = np.full((omega_w, nb), inf)
     cur = np.full((omega_w, nb), inf)
@@ -270,11 +320,26 @@ def dtw_batch(m, omega_u: int, omega_w: int, a0, b0, *, radius: int | None = Non
     for q in range(1, int(hi[0]) + 1):
         acc = acc + flat[base + q]
         prev[q] = acc
+    cells = (int(hi[0]) + 1) * nb
 
     tmp = np.empty(nb)
     for p in range(1, omega_u):
+        if threshold is not None and p % _ABANDON_EVERY == 0:
+            bound = prev[int(lo[p - 1]) : int(hi[p - 1]) + 1].min(axis=0) + rest[p // _ABANDON_EVERY, alive]
+            keep = np.flatnonzero(bound <= threshold)
+            if keep.size < alive.size:
+                alive, base = alive[keep], base[keep]
+                if alive.size == 0:
+                    return out, cells
+                # Compact into the front of the existing buffers, which keeps
+                # every row C-contiguous and allocates nothing (mode="clip"
+                # writes straight into out; the default mode buffers it).
+                n = alive.size
+                prev, cur = np.take(prev, keep, axis=1, out=_front(cur, n), mode="clip"), _front(prev, n)
+                tmp = tmp[:n]
         rowbase = base + p * cols
         plo, phi = int(lo[p]), int(hi[p])
+        cells += (phi - plo + 1) * alive.size
         # Cells this row reads that the previous row never wrote must be inf.
         r0 = max(0, plo - 1)
         lo_prev, hi_prev = int(lo[p - 1]), int(hi[p - 1])
@@ -292,12 +357,8 @@ def dtw_batch(m, omega_u: int, omega_w: int, a0, b0, *, radius: int | None = Non
             np.minimum(tmp, cur[q - 1], out=tmp)
             np.add(tmp, flat[rowbase + q], out=cur[q])
         prev, cur = cur, prev
-    out = prev[omega_w - 1].copy()
-    if radius is not None and not np.all(np.isfinite(out)):
-        raise BandInfeasible(
-            f"radius {radius} band disconnects the corners of a ({omega_u},{omega_w}) window"
-        )
-    return out
+    out[alive] = prev[omega_w - 1]
+    return out, cells
 
 
 def dtw_matrix_full(m, omega_u: int, omega_w: int, *, radius: int | None = None) -> np.ndarray:

@@ -1,17 +1,24 @@
 """Pruned search for the most similar subsequence pair, top-k, brute force.
 
 The pruned search evaluates exact DTW only on placements whose lower
-bound does not exceed the global minimum of the upper-bound grid, in
-ascending lower-bound order, and stops at the first candidate whose lower
-bound exceeds the best distance found. Because the lower bound never
-overshoots the true distance and the upper bound never undershoots it,
-the result provably equals the brute-force answer, tie-set included.
+bound does not exceed a threshold, in ascending lower-bound order, and
+stops at the first candidate whose lower bound exceeds it. For the single
+optimum the threshold starts at the global minimum of the upper-bound grid
+and falls to the best distance found; for top-k it starts at the k-th
+smallest upper bound and falls to the k-th best distance found. Because
+the lower bound never overshoots the true distance and the upper bound
+never undershoots it, the result provably equals the brute-force answer,
+tie-set included.
 
-Candidates are evaluated in growing chunks through the vectorized batch
-evaluator. Chunking can evaluate a few candidates past the sequential
-stopping point; that affects only the dtw_evaluations counter, never the
-returned solutions, because tie membership is resolved against the final
-minimum with the shared tolerance.
+One evaluation loop serves both: candidates go in growing chunks through
+the vectorized batch kernel, which abandons a placement as soon as its
+accumulated row minimum plus the pool minima of its remaining rows
+exceeds the threshold. That sum is a lower bound on the placement's DTW,
+so an abandoned placement cannot be optimal (or among the k best), and
+every placement that can is computed exactly. Every threshold comparison
+is padded by the tie tolerance, so a placement tied with the optimum is
+never pruned, skipped or abandoned; tie membership is resolved against
+the final minimum with the same tolerance.
 """
 from __future__ import annotations
 
@@ -32,7 +39,7 @@ from .core import (
     validate_query,
 )
 from .bounds import BoundMatrices, compute_bounds
-from .dtw import dtw_batch, dtw_matrix_full
+from .dtw import dtw_batch, dtw_matrix_full, window_cells
 from .metrics import distance_matrix, z_normalize
 
 _FIRST_CHUNK = 64
@@ -54,7 +61,6 @@ class SearchOptions:
     normalize: str = "none"
     band_radius: int | None = None
     tie_tolerance: float = TIE_TOLERANCE
-    early_exit: bool = True
     exclusion: int = 0
 
     def __post_init__(self):
@@ -132,66 +138,85 @@ def find_candidates(
     return Candidates(a=ii[order] + 1, b=jj[order] + 1, lower_bounds=lbs[order])
 
 
+def _evaluate(m, omega_u, omega_w, cands: Candidates, bm: BoundMatrices, k, bound, tol, radius, d=None):
+    """Exact DTW of candidates in lower-bound order, under a moving threshold.
+
+    The threshold is the smaller of ``bound`` and the k-th smallest
+    distance found so far; evaluation stops at the first candidate whose
+    lower bound exceeds it. Returns (d, threshold, dp_cells), where d[i] is
+    the distance of candidate i over the evaluated prefix of ``cands``, or
+    +inf for a placement abandoned because its distance exceeds the
+    threshold it was evaluated under.
+
+    ``d`` continues an earlier call whose candidates are a prefix of these,
+    found under a lower bound; placements it abandoned are evaluated again
+    when the threshold now admits them.
+    """
+    lbs = cands.lower_bounds
+    a0, b0 = cands.a - 1, cands.b - 1
+    d = np.empty(0) if d is None else d
+    cells = 0
+
+    def batch(idx):
+        nonlocal cells
+        out, c = dtw_batch(
+            m, omega_u, omega_w, a0[idx], b0[idx], radius=radius, threshold=thr + tol, pool=bm.min_pool
+        )
+        cells += c
+        return out
+
+    def kth(values):
+        return bound if values.size < k else min(bound, _kth_smallest(values, k))
+
+    thr = kth(d)
+    redo = np.flatnonzero(np.isinf(d) & (lbs[: d.size] <= thr + tol))
+    if redo.size:
+        d = d.copy()
+        d[redo] = batch(redo)
+        thr = kth(d)
+    chunk = _FIRST_CHUNK
+    while (pos := d.size) < lbs.size and lbs[pos] <= thr + tol:
+        end = pos + int(np.searchsorted(lbs[pos : pos + chunk], thr + tol, side="right"))
+        d = np.concatenate((d, batch(slice(pos, end))))
+        thr = kth(d)
+        chunk = min(chunk * 4, _MAX_CHUNK)
+    return d, thr, cells
+
+
 def find_optimal_solutions(
     m,
     omega_u: int,
     omega_w: int,
     candidates: Candidates,
-    min_path: np.ndarray,
+    bm: BoundMatrices,
     *,
     tie_tolerance: float = TIE_TOLERANCE,
-    early_exit: bool = True,
     band_radius: int | None = None,
 ) -> SearchResult:
     """Evaluate candidates in lower-bound order, keeping the best tie-set.
 
-    Stops at the first candidate whose lower bound exceeds the incumbent
-    distance (plus tolerance); with early_exit=False every candidate is
-    evaluated, which must not change the answer.
+    The threshold is the smaller of the upper-bound minimum and the
+    incumbent distance; the answer is the tie-set closure of what the
+    evaluation loop returns.
     """
     t0 = time.perf_counter()
-    ncand = len(candidates)
-    assert ncand > 0, "candidate list cannot be empty: the argmin of the upper bound always survives"
-    lbs = candidates.lower_bounds
-    a0 = candidates.a - 1
-    b0 = candidates.b - 1
-
-    shortest = np.inf
-    kept: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    evals = 0
-    pos = 0
-    chunk = _FIRST_CHUNK
-    while pos < ncand:
-        if early_exit and lbs[pos] > shortest + tie_tolerance:
-            break
-        end = min(pos + chunk, ncand)
-        if early_exit and np.isfinite(shortest):
-            end = pos + int(np.searchsorted(lbs[pos:end], shortest + tie_tolerance, side="right"))
-        d = dtw_batch(m, omega_u, omega_w, a0[pos:end], b0[pos:end], radius=band_radius)
-        evals += end - pos
-        cmin = float(d.min())
-        if cmin < shortest:
-            shortest = cmin
-        keep = d <= shortest + tie_tolerance
-        if np.any(keep):
-            kept.append((d[keep], candidates.a[pos:end][keep], candidates.b[pos:end][keep]))
-        pos = end
-        chunk = min(chunk * 4, _MAX_CHUNK)
-
-    d_all = np.concatenate([k[0] for k in kept])
-    a_all = np.concatenate([k[1] for k in kept])
-    b_all = np.concatenate([k[2] for k in kept])
-    final = d_all <= shortest + tie_tolerance
-    solutions = frozenset(zip(a_all[final].tolist(), b_all[final].tolist()))
+    assert len(candidates), "candidate list cannot be empty: the argmin of the upper bound always survives"
+    d, _, cells = _evaluate(
+        m, omega_u, omega_w, candidates, bm, 1, bm.min_of_max_path, tie_tolerance, band_radius
+    )
+    shortest = float(d.min())
+    final = np.flatnonzero(d <= shortest + tie_tolerance)
+    solutions = frozenset(zip(candidates.a[final].tolist(), candidates.b[final].tolist()))
     stats = SearchStats(
-        pairs_total=int(min_path.size),
-        pairs_after_prune=ncand,
-        dtw_evaluations=evals,
+        pairs_total=int(bm.min_path.size),
+        pairs_after_prune=len(candidates),
+        dtw_evaluations=d.size,
         runtime_ms=(time.perf_counter() - t0) * 1e3,
+        dp_cells=cells,
     )
     return SearchResult(
         solutions=solutions,
-        shortest_dist=float(shortest),
+        shortest_dist=shortest,
         swapped=False,
         stats=stats,
         window_a=omega_u,
@@ -232,9 +257,8 @@ def infer_most_similar(
         wu,
         ww,
         cands,
-        bm.min_path,
+        bm,
         tie_tolerance=opts.tie_tolerance,
-        early_exit=opts.early_exit,
         band_radius=opts.band_radius,
     )
     solutions = res.solutions
@@ -284,6 +308,7 @@ def brute_force_search(
         pairs_after_prune=total,
         dtw_evaluations=total,
         runtime_ms=(time.perf_counter() - t0) * 1e3,
+        dp_cells=total * window_cells(wu, ww, opts.band_radius),
     )
     result = SearchResult(
         solutions=solutions,
@@ -302,6 +327,24 @@ def brute_force_search(
 
 def _kth_smallest(values: np.ndarray, k: int) -> float:
     return float(np.partition(values.ravel(), k - 1)[k - 1])
+
+
+def _spread(ranked: np.ndarray, a: np.ndarray, b: np.ndarray, shape, exclusion: int, k: int) -> np.ndarray:
+    """The first k of ``ranked`` farther than ``exclusion`` (Chebyshev) from every earlier pick.
+
+    ``ranked`` indexes the 1-based starts ``a``, ``b``. Each pick blocks
+    its square on a placement grid, so every test is one lookup.
+    """
+    blocked = np.zeros(shape, dtype=bool)
+    picked = []
+    for i, x, y in zip(ranked.tolist(), (a[ranked] - 1).tolist(), (b[ranked] - 1).tolist()):
+        if blocked[x, y]:
+            continue
+        picked.append(i)
+        if len(picked) == k:
+            break
+        blocked[max(0, x - exclusion) : x + exclusion + 1, max(0, y - exclusion) : y + exclusion + 1] = True
+    return np.array(picked, dtype=np.int64)
 
 
 def top_k_search(
@@ -328,86 +371,43 @@ def top_k_search(
     bm = compute_bounds(m, wu, ww, band_safe=opts.band_radius is not None)
     total = int(bm.min_path.size)
     k_eff = min(int(k), total)
-    truncated = k > total
     tol = opts.tie_tolerance
 
     kk = k_eff
-    cands = find_candidates(bm, threshold=_kth_smallest(bm.max_path, kk), tie_tolerance=tol)
-    pos = 0
-    evals = 0
-    chunk = _FIRST_CHUNK
-    d_parts: list[np.ndarray] = []
-    a_parts: list[np.ndarray] = []
-    b_parts: list[np.ndarray] = []
-    n_seen = 0
-
+    d = None
+    cells = 0
     while True:
-        thr0 = _kth_smallest(bm.max_path, kk)
-        kth = thr0
-        if n_seen >= kk:
-            kth = min(kth, _kth_smallest(np.concatenate(d_parts), kk))
-        while pos < len(cands):
-            if cands.lower_bounds[pos] > kth + tol:
-                break
-            end = min(pos + chunk, len(cands))
-            end = pos + int(
-                np.searchsorted(cands.lower_bounds[pos:end], kth + tol, side="right")
-            )
-            d = dtw_batch(
-                m.entries, wu, ww, cands.a[pos:end] - 1, cands.b[pos:end] - 1, radius=opts.band_radius
-            )
-            evals += end - pos
-            n_seen += end - pos
-            d_parts.append(d)
-            a_parts.append(cands.a[pos:end])
-            b_parts.append(cands.b[pos:end])
-            if n_seen >= kk:
-                kth = min(thr0, _kth_smallest(np.concatenate(d_parts), kk))
-            pos = end
-            chunk = min(chunk * 4, _MAX_CHUNK)
-
-        d_all = np.concatenate(d_parts)
-        a_all = np.concatenate(a_parts)
-        b_all = np.concatenate(b_parts)
-        if swapped:
-            a_all, b_all = b_all, a_all
-        # Every placement with distance <= kth was evaluated, so selecting
-        # from this prefix is exact.
-        prefix = d_all <= kth + tol
-        order = np.lexsort((b_all[prefix], a_all[prefix], d_all[prefix]))
-        dp, ap, bp = d_all[prefix][order], a_all[prefix][order], b_all[prefix][order]
-
-        if opts.exclusion == 0:
-            sel = slice(0, k_eff)
-            sel_a, sel_b, sel_d = ap[sel], bp[sel], dp[sel]
+        bound = _kth_smallest(bm.max_path, kk)
+        cands = find_candidates(bm, threshold=bound, tie_tolerance=tol)
+        d, kth, c = _evaluate(m.entries, wu, ww, cands, bm, kk, bound, tol, opts.band_radius, d)
+        cells += c
+        a, b = cands.a[: d.size], cands.b[: d.size]
+        ra, rb = (b, a) if swapped else (a, b)
+        # Every placement with distance <= kth was evaluated exactly, so
+        # ranking this prefix is exact.
+        ranked = np.flatnonzero(d <= kth + tol)
+        ranked = ranked[np.lexsort((rb[ranked], ra[ranked], d[ranked]))]
+        chosen = _spread(ranked, a, b, bm.shape, opts.exclusion, k_eff)
+        # Without exclusion the prefix always holds k_eff placements.
+        if chosen.size == k_eff or kk == total:
             break
-        acc_a, acc_b, acc_d = [], [], []
-        for ai, bi, di in zip(ap.tolist(), bp.tolist(), dp.tolist()):
-            if all(max(abs(ai - xa), abs(bi - xb)) > opts.exclusion for xa, xb in zip(acc_a, acc_b)):
-                acc_a.append(ai)
-                acc_b.append(bi)
-                acc_d.append(di)
-            if len(acc_a) >= k_eff:
-                break
-        if len(acc_a) >= k_eff or kk >= total:
-            sel_a, sel_b, sel_d = np.array(acc_a, dtype=np.int64), np.array(acc_b, dtype=np.int64), np.array(acc_d)
-            truncated = truncated or len(acc_a) < k_eff
-            break
-        kk = min(kk * 4, total)
-        new_thr = _kth_smallest(bm.max_path, kk)
-        cands = find_candidates(bm, threshold=new_thr, tie_tolerance=tol)
+        # Picks grow about linearly with the prefix until the grid fills up;
+        # aim at twice the prefix that estimate needs, so that placements
+        # abandoned under a low threshold are seldom evaluated more than twice.
+        kk = min(total, max(4 * kk, 2 * kk * k_eff // max(chosen.size, 1)))
 
     matches = tuple(
-        RankedMatch(a=int(ai), b=int(bi), distance=float(di), rank=r + 1)
-        for r, (ai, bi, di) in enumerate(zip(sel_a, sel_b, sel_d))
+        RankedMatch(a=int(ra[i]), b=int(rb[i]), distance=float(d[i]), rank=r + 1)
+        for r, i in enumerate(chosen.tolist())
     )
     stats = SearchStats(
         pairs_total=total,
         pairs_after_prune=len(cands),
-        dtw_evaluations=evals,
+        dtw_evaluations=d.size,
         runtime_ms=(time.perf_counter() - t0) * 1e3,
+        dp_cells=cells,
     )
-    return TopKResult(matches=matches, truncated=truncated, stats=stats)
+    return TopKResult(matches=matches, truncated=len(matches) < k, stats=stats)
 
 
 def result_to_json_dict(result: SearchResult) -> dict:
@@ -424,6 +424,7 @@ def result_to_json_dict(result: SearchResult) -> dict:
             "pairs_total": result.stats.pairs_total,
             "pairs_after_prune": result.stats.pairs_after_prune,
             "dtw_evaluations": result.stats.dtw_evaluations,
+            "dp_cells": result.stats.dp_cells,
             "runtime_ms": result.stats.runtime_ms,
         },
     }

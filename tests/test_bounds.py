@@ -101,7 +101,7 @@ def test_sandwich_property(rng):
         bm = compute_bounds(mat, wu, ww)
         pa, pb = bm.min_path.shape
         ii, jj = np.meshgrid(np.arange(pa), np.arange(pb), indexing="ij")
-        exact = dtw_batch(mat, wu, ww, ii.ravel(), jj.ravel()).reshape(pa, pb)
+        exact = dtw_batch(mat, wu, ww, ii.ravel(), jj.ravel())[0].reshape(pa, pb)
         assert np.all(bm.min_path <= exact * (1 + 1e-9) + 1e-9)
         assert np.all(exact <= bm.max_path * (1 + 1e-9) + 1e-9)
 
@@ -147,7 +147,7 @@ def test_banded_upper_bound_is_valid_upper_bound(rng):
     up = upper_bound_matrix_banded(mat, wu, ww)
     pa, pb = up.shape
     ii, jj = np.meshgrid(np.arange(pa), np.arange(pb), indexing="ij")
-    banded = dtw_batch(mat, wu, ww, ii.ravel(), jj.ravel(), radius=1).reshape(pa, pb)
+    banded = dtw_batch(mat, wu, ww, ii.ravel(), jj.ravel(), radius=1)[0].reshape(pa, pb)
     assert np.all(banded <= up + 1e-9)
 
 
@@ -184,7 +184,7 @@ def test_prune_soundness_against_brute_force(rng):
         bm = compute_bounds(mat, wu, ww)
         pa, pb = bm.min_path.shape
         ii, jj = np.meshgrid(np.arange(pa), np.arange(pb), indexing="ij")
-        exact = dtw_batch(mat, wu, ww, ii.ravel(), jj.ravel()).reshape(pa, pb)
+        exact = dtw_batch(mat, wu, ww, ii.ravel(), jj.ravel())[0].reshape(pa, pb)
         best = exact.min()
         for i in range(pa):
             for j in range(pb):

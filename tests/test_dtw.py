@@ -107,6 +107,11 @@ def test_band_infeasible_when_shorter_side_first():
     mat = np.zeros((4, 30))
     with pytest.raises(BandInfeasible):
         dtw_banded(mat, 2, 25, (1, 1), 1)
+    # the batch kernel decides from the shape, even when every placement is abandoned
+    mat = np.zeros((10, 30))
+    for threshold in (None, -1.0):
+        with pytest.raises(BandInfeasible):
+            dtw_batch(mat, 8, 25, [0, 2], [0, 5], radius=1, threshold=threshold, pool=np.zeros((10, 6)))
 
 
 def test_default_band_radius():
@@ -120,7 +125,7 @@ def test_batch_matches_scalar_bitwise(rng):
     wu, ww = 7, 5
     a0 = rng.integers(0, 30 - wu + 1, size=100)
     b0 = rng.integers(0, 25 - ww + 1, size=100)
-    batch = dtw_batch(mat, wu, ww, a0, b0)
+    batch, _ = dtw_batch(mat, wu, ww, a0, b0)
     scalar = np.array([dtw_windowed(mat, wu, ww, (a + 1, b + 1)) for a, b in zip(a0, b0)])
     assert np.array_equal(batch, scalar)
 
@@ -150,7 +155,7 @@ def test_batch_banded_matches_scalar(rng):
     radius = 2
     a0 = rng.integers(0, 20 - wu + 1, size=60)
     b0 = rng.integers(0, 18 - ww + 1, size=60)
-    batch = dtw_batch(mat, wu, ww, a0, b0, radius=radius)
+    batch, _ = dtw_batch(mat, wu, ww, a0, b0, radius=radius)
     scalar = np.array([dtw_banded(mat, wu, ww, (a + 1, b + 1), radius) for a, b in zip(a0, b0)])
     assert np.array_equal(batch, scalar)
 

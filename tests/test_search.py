@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from dtwsearch import (
     SearchOptions,
@@ -15,6 +16,7 @@ from dtwsearch import (
     top_k_search,
     topk_to_json_list,
 )
+from dtwsearch.dtw import window_cells
 
 U3 = TimeSeries(values=[0.0, 1.0, 3.0])
 W2 = TimeSeries(values=[0.0, 2.0])
@@ -65,7 +67,7 @@ def test_find_optimal_solutions_worked_example():
     m = distance_matrix(U3, W2)
     bm = compute_bounds(m, 2, 2)
     cands = find_candidates(bm)
-    res = find_optimal_solutions(m.entries, 2, 2, cands, bm.min_path)
+    res = find_optimal_solutions(m.entries, 2, 2, cands, bm)
     assert res.solutions == frozenset({(1, 1)})
     assert res.shortest_dist == 1.0
 
@@ -163,11 +165,73 @@ def test_early_exit_soundness(rng):
         m = distance_matrix(u, w)
         bm = compute_bounds(m, 6, 5)
         cands = find_candidates(bm)
-        fast = find_optimal_solutions(m.entries, 6, 5, cands, bm.min_path, early_exit=True)
-        slow = find_optimal_solutions(m.entries, 6, 5, cands, bm.min_path, early_exit=False)
-        assert fast.solutions == slow.solutions
-        assert fast.shortest_dist == slow.shortest_dist
-        assert slow.stats.dtw_evaluations == len(cands)
+        fast = find_optimal_solutions(m.entries, 6, 5, cands, bm)
+        bf = brute_force_search(u, w, WindowPair(6, 5))
+        assert fast.solutions == bf.solutions
+        assert fast.shortest_dist == bf.shortest_dist
+        assert fast.stats.dtw_evaluations <= len(cands)
+
+
+def twin_motif_pair(rng, n=110, m=90, motif_len=24):
+    """u holds one motif twice, w a noisy copy of it: every placement inside
+    the first copy has a twin 50 steps later with the same distance."""
+    motif = rng.normal(size=(motif_len, 2))
+    u = rng.normal(size=(n, 2)) * 3
+    u[10 : 10 + motif_len] = motif
+    u[60 : 60 + motif_len] = motif
+    w = rng.normal(size=(m, 2)) * 3
+    w[30 : 30 + motif_len] = motif + rng.normal(scale=0.1, size=(motif_len, 2))
+    return TimeSeries(values=u), TimeSeries(values=w)
+
+
+def brute_ranking(u, w, wp, opts):
+    _, table = brute_force_search(u, w, wp, opts, return_table=True)
+    return sorted((table[i, j], i + 1, j + 1) for i in range(table.shape[0]) for j in range(table.shape[1]))
+
+
+@pytest.mark.parametrize("radius", [None, 3])
+def test_abandoning_keeps_exact_tie_set(rng, radius):
+    # 20-row windows, so placements are checked for abandoning four times.
+    wp, opts = WindowPair(20, 16), SearchOptions(band_radius=radius)
+    for _ in range(3):
+        u, w = twin_motif_pair(rng)
+        sp = infer_most_similar(u, w, wp, opts)
+        bf = brute_force_search(u, w, wp, opts)
+        assert len(bf.solutions) >= 2
+        assert sp.solutions == bf.solutions
+        assert sp.shortest_dist == bf.shortest_dist
+        assert sp.stats.dp_cells < sp.stats.dtw_evaluations * window_cells(20, 16, radius)
+        assert bf.stats.dp_cells == bf.stats.pairs_total * window_cells(20, 16, radius)
+
+
+@pytest.mark.parametrize("radius", [None, 3])
+def test_abandoning_top_k_equals_brute_ranking(rng, radius):
+    wp, opts = WindowPair(20, 16), SearchOptions(band_radius=radius)
+    u, w = twin_motif_pair(rng)
+    tk = top_k_search(u, w, wp, 40, opts)
+    assert [(m.distance, m.a, m.b) for m in tk.matches] == brute_ranking(u, w, wp, opts)[:40]
+    assert tk.stats.dp_cells < tk.stats.dtw_evaluations * window_cells(20, 16, radius)
+
+
+def greedy_exclusion(ranking, exclusion, k):
+    accepted = []
+    for d, a, b in ranking:
+        if all(max(abs(a - x), abs(b - y)) > exclusion for _, x, y in accepted):
+            accepted.append((d, a, b))
+        if len(accepted) == k:
+            break
+    return accepted
+
+
+def test_abandoning_exclusion_equals_greedy_over_brute_ranking(rng):
+    wp, opts, k = WindowPair(20, 16), SearchOptions(exclusion=6), 8
+    u, w = twin_motif_pair(rng)
+    ranking = brute_ranking(u, w, wp, SearchOptions())
+    # The k best placements crowd together, so the ranked prefix must grow.
+    assert len(greedy_exclusion(ranking[:k], 6, k)) < k
+    tk = top_k_search(u, w, wp, k, opts)
+    assert [(m.distance, m.a, m.b) for m in tk.matches] == greedy_exclusion(ranking, 6, k)
+    assert tk.stats.dp_cells < tk.stats.dtw_evaluations * window_cells(20, 16)
 
 
 def test_banded_search_matches_banded_brute(rng):
@@ -288,7 +352,10 @@ def test_result_json_schema():
         "normalized", "band_radius", "stats",
     }
     assert doc["solutions"] == [{"a": 1, "b": 1}]
-    assert set(doc["stats"]) == {"pairs_total", "pairs_after_prune", "dtw_evaluations", "runtime_ms"}
+    assert set(doc["stats"]) == {
+        "pairs_total", "pairs_after_prune", "dtw_evaluations", "dp_cells", "runtime_ms",
+    }
+    assert doc["stats"]["dp_cells"] == 4  # one 2x2 placement evaluated
     tk = top_k_search(U3, W2, WindowPair(2, 2), 2)
     arr = topk_to_json_list(tk)
     assert arr[0] == {"rank": 1, "a": 1, "b": 1, "distance": 1.0}
