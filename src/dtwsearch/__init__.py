@@ -3,7 +3,6 @@
 from .core import (
     TIE_TOLERANCE,
     BandInfeasible,
-    CandidatePair,
     DimensionMismatch,
     DtwSearchError,
     EmptyFile,
@@ -14,7 +13,6 @@ from .core import (
     InvalidSpec,
     NonFiniteValue,
     ParseError,
-    Query,
     RaggedRows,
     SearchResult,
     SearchStats,
@@ -30,16 +28,12 @@ from .metrics import DistanceMatrix, distance_matrix, point_distance, z_normaliz
 from .bounds import (
     BoundMatrices,
     compute_bounds,
-    fixed_upper_path,
     lower_bound_matrix,
     min_pool,
-    prune_predicate,
     upper_bound_matrix,
     upper_bound_matrix_banded,
 )
 from .dtw import (
-    AccumulatedDistance,
-    accumulated_distance,
     band_column_ranges,
     default_band_radius,
     dtw_banded,

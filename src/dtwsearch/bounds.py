@@ -17,20 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import minimum_filter1d
 
-from .core import (
-    TIE_TOLERANCE,
-    IndexOutOfRange,
-    WarpingPath,
-    WindowOrderViolated,
-    WindowTooLarge,
-)
-from .metrics import DistanceMatrix
-
-
-def _entries(m) -> np.ndarray:
-    if isinstance(m, DistanceMatrix):
-        return m.entries
-    return np.asarray(m, dtype=np.float64)
+from .core import TIE_TOLERANCE, WindowOrderViolated, WindowTooLarge
+from .metrics import _entries
 
 
 @dataclass(frozen=True)
@@ -173,17 +161,6 @@ def upper_bound_matrix_banded(m, omega_u: int, omega_w: int) -> np.ndarray:
     return out
 
 
-def fixed_upper_path(a: int, b: int, omega_u: int, omega_w: int) -> WarpingPath:
-    """The diagonal-then-last-column warping path used by the upper bound.
-
-    1-based absolute steps for the placement starting at (a, b).
-    """
-    if omega_u < omega_w:
-        raise WindowOrderViolated(f"path requires omega_u >= omega_w, got ({omega_u}, {omega_w})")
-    steps = tuple((a + p, b + min(p, omega_w - 1)) for p in range(omega_u))
-    return WarpingPath(steps=steps)
-
-
 def compute_bounds(m, omega_u: int, omega_w: int, *, band_safe: bool = False) -> BoundMatrices:
     """Build all bound grids for one search instance.
 
@@ -205,15 +182,3 @@ def compute_bounds(m, omega_u: int, omega_w: int, *, band_safe: bool = False) ->
         min_of_max_path=float(upper.min()),
     )
 
-
-def prune_predicate(bm: BoundMatrices, i: int, j: int) -> bool:
-    """True when placement (i, j) provably cannot attain the minimum.
-
-    (i, j) are 1-based. The comparison is strict (padded by the shared tie
-    tolerance): placements whose lower bound ties the threshold survive,
-    which is required for the search to return every tied optimum.
-    """
-    pa, pb = bm.min_path.shape
-    if not (1 <= i <= pa and 1 <= j <= pb):
-        raise IndexOutOfRange(f"({i},{j}) outside placement grid {pa}x{pb} (1-based)")
-    return bool(bm.min_path[i - 1, j - 1] > bm.min_of_max_path + TIE_TOLERANCE)

@@ -14,7 +14,6 @@ import itertools
 import json
 import statistics
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -44,33 +43,6 @@ from .search import (
 from .simgen import GroundTruth, SimulationSpec, generate_pair
 
 BENCH_METHODS = ("bruteforce", "sakoe_chiba", "sp", "sp_sakoe_chiba")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated configuration of one CLI invocation."""
-
-    command: str
-    inputs: tuple = ()
-    outputs: tuple = ()
-    window_a: int | None = None
-    window_b: int | None = None
-    normalize: str = "none"
-    band_radius: int | None = None
-    k: int | None = None
-    seed: int | None = None
-    extra: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.command not in ("search", "topk", "simulate", "evaluate", "lead", "bench"):
-            raise InvalidSpec(f"unknown command {self.command!r}")
-        for path in self.inputs:
-            if not Path(path).exists():
-                raise InvalidSpec(f"input path does not exist: {path}")
-        for path in self.outputs:
-            parent = Path(path).resolve().parent
-            if not parent.is_dir():
-                raise InvalidSpec(f"output directory does not exist: {parent}")
 
 
 def ingest_csv(path) -> TimeSeries:
@@ -131,32 +103,27 @@ def _write_grid_csv(grid: np.ndarray, path, comments=()):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _search_options(cfg: RunConfig, exclusion: int = 0) -> SearchOptions:
-    return SearchOptions(
-        normalize=cfg.normalize, band_radius=cfg.band_radius, exclusion=exclusion
-    )
+def _search_options(args: argparse.Namespace, exclusion: int = 0) -> SearchOptions:
+    return SearchOptions(normalize=args.normalize, band_radius=args.band, exclusion=exclusion)
 
 
-def run_search(cfg: RunConfig) -> int:
-    a_path, b_path = cfg.inputs
-    u = ingest_csv(a_path)
-    w = ingest_csv(b_path)
-    wp = WindowPair(omega_u=cfg.window_a, omega_w=cfg.window_b)
-    result = infer_most_similar(u, w, wp, _search_options(cfg))
-    _write_json(result_to_json_dict(result), cfg.outputs[0])
-    dump_prefix = cfg.extra.get("dump_bounds")
-    if dump_prefix:
-        _dump_bounds(u, w, wp, cfg, dump_prefix)
+def run_search(args: argparse.Namespace) -> int:
+    u = ingest_csv(args.a)
+    w = ingest_csv(args.b)
+    wp = WindowPair(omega_u=args.wa, omega_w=args.wb)
+    result = infer_most_similar(u, w, wp, _search_options(args))
+    _write_json(result_to_json_dict(result), args.out)
+    if args.dump_bounds:
+        _dump_bounds(u, w, wp, args, args.dump_bounds)
     return 0
 
 
-def _dump_bounds(u, w, wp, cfg: RunConfig, prefix):
+def _dump_bounds(u, w, wp, args: argparse.Namespace, prefix):
     from .search import _prepare  # shares the exact swap/normalize pipeline
 
-    opts = _search_options(cfg)
-    su, sw, wu, ww, swapped = _prepare(u, w, wp, opts)
+    su, sw, wu, ww, swapped = _prepare(u, w, wp, _search_options(args))
     m = distance_matrix(su, sw)
-    bm = compute_bounds(m, wu, ww, band_safe=cfg.band_radius is not None)
+    bm = compute_bounds(m, wu, ww, band_safe=args.band is not None)
     note = "series were swapped (omega_b > omega_a): rows index --b, cols index --a" if swapped else "rows index --a, cols index --b"
     for name, grid in (("minpath", bm.min_path), ("maxpath", bm.max_path)):
         _write_grid_csv(
@@ -169,41 +136,38 @@ def _dump_bounds(u, w, wp, cfg: RunConfig, prefix):
         )
 
 
-def run_topk(cfg: RunConfig) -> int:
-    a_path, b_path = cfg.inputs
-    u = ingest_csv(a_path)
-    w = ingest_csv(b_path)
-    wp = WindowPair(omega_u=cfg.window_a, omega_w=cfg.window_b)
-    result = top_k_search(u, w, wp, cfg.k, _search_options(cfg, exclusion=cfg.extra.get("exclusion", 0)))
+def run_topk(args: argparse.Namespace) -> int:
+    u = ingest_csv(args.a)
+    w = ingest_csv(args.b)
+    wp = WindowPair(omega_u=args.wa, omega_w=args.wb)
+    result = top_k_search(u, w, wp, args.k, _search_options(args, exclusion=args.exclusion))
     if result.truncated:
-        print(f"warning: fewer than k={cfg.k} matches exist; returning {len(result.matches)}", file=sys.stderr)
-    _write_json(topk_to_json_list(result), cfg.outputs[0])
+        print(f"warning: fewer than k={args.k} matches exist; returning {len(result.matches)}", file=sys.stderr)
+    _write_json(topk_to_json_list(result), args.out)
     return 0
 
 
-def run_simulate(cfg: RunConfig) -> int:
-    e = cfg.extra
+def run_simulate(args: argparse.Namespace) -> int:
     spec = SimulationSpec(
-        length_u=e["len_a"],
-        length_w=e["len_b"],
-        motif_len_u=e["motif_a"],
-        motif_len_w=e["motif_b"],
-        delay=e["delay"],
-        gamma=e["gamma"],
-        seed=cfg.seed,
-        dims=e.get("dims", 1),
+        length_u=args.len_a,
+        length_w=args.len_b,
+        motif_len_u=args.motif_a,
+        motif_len_w=args.motif_b,
+        delay=args.delay,
+        gamma=args.gamma,
+        seed=args.seed,
+        dims=args.dims,
     )
     u, w, gt = generate_pair(spec)
-    out_a, out_b, out_gt = cfg.outputs
-    emit_csv(u, out_a)
-    emit_csv(w, out_b)
+    emit_csv(u, args.out_a)
+    emit_csv(w, args.out_b)
     _write_json(
         {
             "interval_u": list(gt.interval_u),
             "interval_w": list(gt.interval_w),
             "spec": dataclasses.asdict(spec),
         },
-        out_gt,
+        args.out_gt,
     )
     return 0
 
@@ -221,9 +185,9 @@ def _intervals_from_pred(pred: dict):
     raise InvalidSpec("prediction JSON must carry intervals or a search result")
 
 
-def run_evaluate(cfg: RunConfig) -> int:
-    pred = json.loads(Path(cfg.inputs[0]).read_text())
-    gt_doc = json.loads(Path(cfg.inputs[1]).read_text())
+def run_evaluate(args: argparse.Namespace) -> int:
+    pred = json.loads(Path(args.pred).read_text())
+    gt_doc = json.loads(Path(args.gt).read_text())
     pred_u, pred_w = _intervals_from_pred(pred)
     gt = GroundTruth(interval_u=tuple(gt_doc["interval_u"]), interval_w=tuple(gt_doc["interval_w"]))
     counts = score_intervals(pred_u, pred_w, gt)
@@ -236,19 +200,18 @@ def run_evaluate(cfg: RunConfig) -> int:
             "recall": counts.recall,
             "f1": counts.f1,
         },
-        cfg.outputs[0],
+        args.out,
     )
     return 0
 
 
-def run_lead(cfg: RunConfig) -> int:
-    e = cfg.extra
-    directory = Path(cfg.inputs[0])
+def run_lead(args: argparse.Namespace) -> int:
+    directory = Path(args.dir)
     files = sorted(p for p in directory.iterdir() if p.suffix == ".csv")
     if not files:
         raise EmptyFile(f"{directory}: no CSV files")
     ids = [p.stem for p in files]
-    lo, hi = e["from_step"], e["to_step"]
+    lo, hi = args.from_step, args.to_step
     if not 1 <= lo <= hi:
         raise InvalidSpec(f"--from/--to must satisfy 1 <= from <= to, got ({lo},{hi})")
     series = {}
@@ -258,11 +221,11 @@ def run_lead(cfg: RunConfig) -> int:
             raise InvalidSpec(f"{p}: --to {hi} exceeds series length {ts.length}")
         series[sid] = TimeSeries(values=ts.values[lo - 1 : hi])
 
-    wp = WindowPair(omega_u=e["window"], omega_w=e["window"])
-    opts = SearchOptions(normalize=cfg.normalize)
+    wp = WindowPair(omega_u=args.window, omega_w=args.window)
+    opts = SearchOptions(normalize=args.normalize)
     matches_by_pair = {}
     for i, j in itertools.combinations(range(len(ids)), 2):
-        res = top_k_search(series[ids[i]], series[ids[j]], wp, cfg.k, opts)
+        res = top_k_search(series[ids[i]], series[ids[j]], wp, args.k, opts)
         pairs = [(m.a, m.b) for m in res.matches]
         matches_by_pair[(ids[i], ids[j])] = pairs
         matches_by_pair[(ids[j], ids[i])] = [(b, a) for a, b in pairs]
@@ -274,7 +237,7 @@ def run_lead(cfg: RunConfig) -> int:
         for fj in ids:
             row.append("0" if li == fj else str(cells[(li, fj)].difference))
         lines.append(",".join(row))
-    Path(cfg.outputs[0]).write_text("\n".join(lines) + "\n")
+    Path(args.out).write_text("\n".join(lines) + "\n")
     return 0
 
 
@@ -298,14 +261,13 @@ def _parse_window_token(token: str):
     return w, w
 
 
-def run_bench(cfg: RunConfig) -> int:
-    e = cfg.extra
-    lengths = [int(t) for t in e["lengths"]]
-    windows = [_parse_window_token(t) for t in e["windows"]]
-    gammas = [float(t) for t in e["gammas"]]
-    methods = list(e["methods"])
-    seeds = [int(t) for t in e["seeds"]]
-    warmup, reps = e["warmup"], e["reps"]
+def run_bench(args: argparse.Namespace) -> int:
+    lengths = [int(t) for t in args.lengths.split(",")]
+    windows = [_parse_window_token(t) for t in args.windows.split(",")]
+    gammas = [float(t) for t in args.gammas.split(",")]
+    methods = args.methods.split(",")
+    seeds = [int(t) for t in args.seeds.split(",")]
+    warmup, reps = args.warmup, args.reps
     for method in methods:
         if method not in BENCH_METHODS:
             raise InvalidSpec(f"unknown bench method {method!r}; choose from {', '.join(BENCH_METHODS)}")
@@ -322,7 +284,7 @@ def run_bench(cfg: RunConfig) -> int:
         )
         u, w, gt = generate_pair(spec)
         wp = WindowPair(omega_u=wa, omega_w=wb)
-        radius = cfg.band_radius or default_band_radius(wa, wb)
+        radius = args.band or default_band_radius(wa, wb)
         for method in methods:
             fn = _bench_callable(method, radius)
             for _ in range(warmup):
@@ -347,7 +309,7 @@ def run_bench(cfg: RunConfig) -> int:
                     )
                 )
             )
-    Path(cfg.outputs[0]).write_text("\n".join(lines) + "\n")
+    Path(args.out).write_text("\n".join(lines) + "\n")
     return 0
 
 
@@ -420,47 +382,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    c = args.command
-    if c == "search":
-        return RunConfig(
-            command=c, inputs=(args.a, args.b), outputs=(args.out,),
-            window_a=args.wa, window_b=args.wb, normalize=args.normalize,
-            band_radius=args.band, extra={"dump_bounds": args.dump_bounds},
-        )
-    if c == "topk":
-        return RunConfig(
-            command=c, inputs=(args.a, args.b), outputs=(args.out,),
-            window_a=args.wa, window_b=args.wb, normalize=args.normalize,
-            band_radius=args.band, k=args.k, extra={"exclusion": args.exclusion},
-        )
-    if c == "simulate":
-        return RunConfig(
-            command=c, outputs=(args.out_a, args.out_b, args.out_gt), seed=args.seed,
-            extra={
-                "len_a": args.len_a, "len_b": args.len_b,
-                "motif_a": args.motif_a, "motif_b": args.motif_b,
-                "delay": args.delay, "gamma": args.gamma, "dims": args.dims,
-            },
-        )
-    if c == "evaluate":
-        return RunConfig(command=c, inputs=(args.pred, args.gt), outputs=(args.out,))
-    if c == "lead":
-        return RunConfig(
-            command=c, inputs=(args.dir,), outputs=(args.out,), k=args.k,
-            normalize=args.normalize,
-            extra={"window": args.window, "from_step": args.from_step, "to_step": args.to_step},
-        )
-    if c == "bench":
-        return RunConfig(
-            command=c, outputs=(args.out,), band_radius=args.band,
-            extra={
-                "lengths": args.lengths.split(","), "windows": args.windows.split(","),
-                "gammas": args.gammas.split(","), "methods": args.methods.split(","),
-                "seeds": args.seeds.split(","), "warmup": args.warmup, "reps": args.reps,
-            },
-        )
-    raise InvalidSpec(f"unknown command {c!r}")
+# Flags naming files the command reads, and files it writes.
+_INPUT_FLAGS = ("a", "b", "pred", "gt", "dir")
+_OUTPUT_FLAGS = ("out", "out_a", "out_b", "out_gt")
+
+
+def _check_paths(args: argparse.Namespace):
+    """Inputs must exist and outputs must go to an existing directory."""
+    for name in _INPUT_FLAGS:
+        path = getattr(args, name, None)
+        if path is not None and not Path(path).exists():
+            raise InvalidSpec(f"input path does not exist: {path}")
+    for name in _OUTPUT_FLAGS:
+        path = getattr(args, name, None)
+        if path is not None and not Path(path).resolve().parent.is_dir():
+            raise InvalidSpec(f"output directory does not exist: {Path(path).resolve().parent}")
 
 
 _RUNNERS = {
@@ -476,8 +412,8 @@ _RUNNERS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return _RUNNERS[cfg.command](cfg)
+        _check_paths(args)
+        return _RUNNERS[args.command](args)
     except (DtwSearchError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 1

@@ -176,21 +176,6 @@ class WarpingPath:
 
 
 @dataclass(frozen=True)
-class CandidatePair:
-    """One surviving placement with its lower-bound distance."""
-
-    a: int
-    b: int
-    lower_bound: float
-
-    def __post_init__(self):
-        if self.a < 1 or self.b < 1:
-            raise IndexOutOfRange(f"candidate start indices must be >= 1, got ({self.a},{self.b})")
-        if self.lower_bound < 0:
-            raise InvalidSpec(f"lower bound must be nonnegative, got {self.lower_bound}")
-
-
-@dataclass(frozen=True)
 class SearchStats:
     """Instrumentation counters for one search run.
 
@@ -248,16 +233,7 @@ class SearchResult:
         return sorted(self.solutions)
 
 
-@dataclass(frozen=True)
-class Query:
-    """A validated (U, W, windows) triple ready for search."""
-
-    u: TimeSeries
-    w: TimeSeries
-    windows: WindowPair
-
-
-def validate_query(u: TimeSeries, w: TimeSeries, wp: WindowPair) -> Query:
+def validate_query(u: TimeSeries, w: TimeSeries, wp: WindowPair) -> None:
     """Check that two series are comparable and the windows fit.
 
     Raises DimensionMismatch when the series have different feature
@@ -269,4 +245,3 @@ def validate_query(u: TimeSeries, w: TimeSeries, wp: WindowPair) -> Query:
         raise WindowTooLarge(f"omega_u={wp.omega_u} exceeds first series length {u.length}")
     if wp.omega_w > w.length:
         raise WindowTooLarge(f"omega_w={wp.omega_w} exceeds second series length {w.length}")
-    return Query(u=u, w=w, windows=wp)

@@ -26,6 +26,13 @@ class DistanceMatrix:
         object.__setattr__(self, "entries", arr)
 
 
+def _entries(m) -> np.ndarray:
+    """The float64 grid of a DistanceMatrix or of any array-like."""
+    if isinstance(m, DistanceMatrix):
+        return m.entries
+    return np.asarray(m, dtype=np.float64)
+
+
 def point_distance(u, w) -> float:
     """Euclidean distance between two points of the feature space.
 

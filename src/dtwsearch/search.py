@@ -24,13 +24,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
 from .core import (
     TIE_TOLERANCE,
-    CandidatePair,
     InvalidSpec,
     SearchResult,
     SearchStats,
@@ -93,11 +91,10 @@ class TopKResult:
     stats: SearchStats
 
 
-class Candidates(Sequence):
+class Candidates:
     """Placements surviving the bound prune, ascending by lower bound.
 
-    Backed by flat arrays; indexing materializes CandidatePair objects.
-    Start indices are 1-based.
+    Flat arrays of 1-based starts ``a``, ``b`` and their lower bounds.
     """
 
     __slots__ = ("a", "b", "lower_bounds")
@@ -111,13 +108,6 @@ class Candidates(Sequence):
 
     def __len__(self) -> int:
         return self.a.size
-
-    def __getitem__(self, idx):
-        if isinstance(idx, slice):
-            return [self[i] for i in range(*idx.indices(len(self)))]
-        return CandidatePair(
-            a=int(self.a[idx]), b=int(self.b[idx]), lower_bound=float(self.lower_bounds[idx])
-        )
 
 
 def find_candidates(

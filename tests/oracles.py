@@ -1,11 +1,13 @@
 """Independent brute-force reference implementations used only by tests.
 
-Everything here is a literal double loop over definitions, deliberately
-sharing no code with the package internals it checks.
+Everything here is a literal loop over definitions, deliberately sharing
+no code with the package internals it checks.
 """
 import math
 
 import numpy as np
+
+from dtwsearch import WarpingPath, WindowOrderViolated
 
 
 def naive_distance_matrix(u_vals, w_vals):
@@ -58,3 +60,49 @@ def naive_upper_bound(m, omega_u, omega_w):
                 acc += m[i + k, j + omega_w - 1]
             out[i, j] = acc
     return out
+
+
+def naive_dtw(m, omega_u, omega_w, start, radius=None):
+    """Windowed DTW at one 1-based placement by the rolling-row recurrence.
+
+    Row 0 is a running sum; every later cell is the minimum of its three
+    predecessors plus its cost, in the same addition order as the package
+    kernel, so the two agree bitwise. With a radius, only cells with
+    |q - p * (omega_w-1)/max(omega_u-1, 1)| <= radius (0-based window
+    coordinates) are reachable; the result is +inf when no path survives.
+    """
+    m = np.asarray(m, dtype=float)
+    a0, b0 = start[0] - 1, start[1] - 1
+    d = max(omega_u - 1, 1)
+
+    def in_band(p, q):
+        return radius is None or abs(q * d - p * (omega_w - 1)) <= radius * d
+
+    inf = math.inf
+    prev = [inf] * omega_w
+    acc = 0.0
+    for q in range(omega_w):
+        if not in_band(0, q):
+            break
+        acc = acc + m[a0, b0 + q]
+        prev[q] = acc
+    for p in range(1, omega_u):
+        cur = [inf] * omega_w
+        for q in range(omega_w):
+            if in_band(p, q):
+                best = prev[q]
+                if q > 0:
+                    best = min(best, prev[q - 1], cur[q - 1])
+                cur[q] = best + m[a0 + p, b0 + q]
+        prev = cur
+    return prev[omega_w - 1]
+
+
+def fixed_upper_path(a, b, omega_u, omega_w):
+    """The diagonal-then-last-column warping path the upper bound prices.
+
+    1-based absolute steps for the placement starting at (a, b).
+    """
+    if omega_u < omega_w:
+        raise WindowOrderViolated(f"path requires omega_u >= omega_w, got ({omega_u}, {omega_w})")
+    return WarpingPath(steps=tuple((a + p, b + min(p, omega_w - 1)) for p in range(omega_u)))

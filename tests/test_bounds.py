@@ -2,20 +2,18 @@ import numpy as np
 import pytest
 
 from dtwsearch import (
-    IndexOutOfRange,
     WindowOrderViolated,
     WindowTooLarge,
     compute_bounds,
     dtw_batch,
     dtw_windowed,
-    fixed_upper_path,
+    find_candidates,
     lower_bound_matrix,
     min_pool,
-    prune_predicate,
     upper_bound_matrix,
     upper_bound_matrix_banded,
 )
-from oracles import naive_lower_bound, naive_min_pool, naive_upper_bound
+from oracles import fixed_upper_path, naive_lower_bound, naive_min_pool, naive_upper_bound
 
 WORKED = np.array([[0.0, 2.0], [1.0, 1.0], [3.0, 1.0]])
 
@@ -151,25 +149,22 @@ def test_banded_upper_bound_is_valid_upper_bound(rng):
     assert np.all(banded <= up + 1e-9)
 
 
+def kept(bm):
+    """1-based placements that survive the prune."""
+    cands = find_candidates(bm)
+    return set(zip(cands.a.tolist(), cands.b.tolist()))
+
+
 def test_prune_predicate_worked_example():
     bm = compute_bounds(WORKED, 2, 2)
-    assert prune_predicate(bm, 2, 1) is True
-    assert prune_predicate(bm, 1, 1) is False  # ties survive: the predicate is strict
+    assert (2, 1) not in kept(bm)
+    assert (1, 1) in kept(bm)  # ties survive: the prune is strict
 
 
 def test_prune_predicate_zero_matrix():
     bm = compute_bounds(np.zeros((5, 4)), 2, 2)
-    for i in range(1, bm.min_path.shape[0] + 1):
-        for j in range(1, bm.min_path.shape[1] + 1):
-            assert prune_predicate(bm, i, j) is False
-
-
-def test_prune_predicate_index_out_of_range():
-    bm = compute_bounds(WORKED, 2, 2)
-    with pytest.raises(IndexOutOfRange):
-        prune_predicate(bm, 3, 1)
-    with pytest.raises(IndexOutOfRange):
-        prune_predicate(bm, 0, 1)
+    pa, pb = bm.min_path.shape
+    assert kept(bm) == {(i, j) for i in range(1, pa + 1) for j in range(1, pb + 1)}
 
 
 def test_prune_soundness_against_brute_force(rng):
@@ -186,7 +181,8 @@ def test_prune_soundness_against_brute_force(rng):
         ii, jj = np.meshgrid(np.arange(pa), np.arange(pb), indexing="ij")
         exact = dtw_batch(mat, wu, ww, ii.ravel(), jj.ravel())[0].reshape(pa, pb)
         best = exact.min()
+        survivors = kept(bm)
         for i in range(pa):
             for j in range(pb):
-                if prune_predicate(bm, i + 1, j + 1):
+                if (i + 1, j + 1) not in survivors:
                     assert exact[i, j] > best + 1e-12

@@ -215,6 +215,16 @@ def test_missing_input_reports_error_json(tmp_path, capsys):
     assert "error" in err and "message" in err
 
 
+def test_missing_output_directory_reports_error_json(tmp_path, capsys):
+    a, b = worked_example_files(tmp_path)
+    rc = main(["search", "--a", a, "--b", b, "--wa", "2", "--wb", "2",
+               "--out", str(tmp_path / "no_such_dir" / "o.json")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "InvalidSpec"
+    assert not (tmp_path / "no_such_dir").exists()
+
+
 def test_window_too_large_reports_error(tmp_path, capsys):
     a, b = worked_example_files(tmp_path)
     rc = main(["search", "--a", a, "--b", b, "--wa", "11", "--wb", "2", "--out", str(tmp_path / "o.json")])

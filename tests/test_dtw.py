@@ -5,15 +5,15 @@ from dtwsearch import (
     BandInfeasible,
     IndexOutOfRange,
     InstanceTooLarge,
-    accumulated_distance,
     band_column_ranges,
     default_band_radius,
-    dtw_banded,
     dtw_batch,
     dtw_matrix_full,
     dtw_path_oracle,
     dtw_windowed,
 )
+from dtwsearch.dtw import _FULL_CHUNK
+from oracles import naive_dtw
 
 WORKED = np.array([[0.0, 2.0], [1.0, 1.0], [3.0, 1.0]])
 
@@ -61,7 +61,7 @@ def test_recurrence_agrees_with_path_oracle(rng):
         a = int(rng.integers(1, n - wu + 2))
         b = int(rng.integers(1, m - ww + 2))
         val, path = dtw_path_oracle(mat, wu, ww, (a, b))
-        assert abs(dtw_windowed(mat, wu, ww, (a, b)) - val) <= 1e-12
+        assert abs(dtw_batch(mat, wu, ww, [a - 1], [b - 1])[0][0] - val) <= 1e-12
         assert path.start == (a, b) and path.end == (a + wu - 1, b + ww - 1)
 
 
@@ -75,11 +75,11 @@ def test_banded_equals_unbanded_once_radius_covers():
     for (wu, ww) in [(2, 2), (5, 3), (6, 6)]:
         mat = np.abs(np.random.default_rng(3).normal(size=(10, 10)))
         full = dtw_windowed(mat, wu, ww, (2, 2))
-        assert dtw_banded(mat, wu, ww, (2, 2), max(wu, ww)) == full
+        assert dtw_windowed(mat, wu, ww, (2, 2), radius=max(wu, ww)) == full
 
 
 def test_banded_worked_example():
-    assert dtw_banded(WORKED, 2, 2, (1, 1), 1) == 1.0
+    assert dtw_windowed(WORKED, 2, 2, (1, 1), radius=1) == 1.0
 
 
 def test_banded_monotone_and_above_unbanded(rng):
@@ -88,7 +88,7 @@ def test_banded_monotone_and_above_unbanded(rng):
     base = dtw_windowed(mat, wu, ww, (4, 7))
     prev = np.inf
     for radius in range(1, 8):
-        v = dtw_banded(mat, wu, ww, (4, 7), radius)
+        v = dtw_windowed(mat, wu, ww, (4, 7), radius=radius)
         assert v >= base - 1e-12
         assert v <= prev + 1e-12
         prev = v
@@ -106,7 +106,7 @@ def test_band_infeasible_when_shorter_side_first():
     # omega_w >> omega_u with a tiny radius cannot connect the corners
     mat = np.zeros((4, 30))
     with pytest.raises(BandInfeasible):
-        dtw_banded(mat, 2, 25, (1, 1), 1)
+        dtw_windowed(mat, 2, 25, (1, 1), radius=1)
     # the batch kernel decides from the shape, even when every placement is abandoned
     mat = np.zeros((10, 30))
     for threshold in (None, -1.0):
@@ -126,7 +126,7 @@ def test_batch_matches_scalar_bitwise(rng):
     a0 = rng.integers(0, 30 - wu + 1, size=100)
     b0 = rng.integers(0, 25 - ww + 1, size=100)
     batch, _ = dtw_batch(mat, wu, ww, a0, b0)
-    scalar = np.array([dtw_windowed(mat, wu, ww, (a + 1, b + 1)) for a, b in zip(a0, b0)])
+    scalar = np.array([naive_dtw(mat, wu, ww, (a + 1, b + 1)) for a, b in zip(a0, b0)])
     assert np.array_equal(batch, scalar)
 
 
@@ -135,7 +135,7 @@ def test_full_matrix_matches_scalar_bitwise(rng):
     wu, ww = 5, 4
     full = dtw_matrix_full(mat, wu, ww)
     pa, pb = 18 - wu + 1, 14 - ww + 1
-    cells = np.array([[dtw_windowed(mat, wu, ww, (i + 1, j + 1)) for j in range(pb)] for i in range(pa)])
+    cells = np.array([[naive_dtw(mat, wu, ww, (i + 1, j + 1)) for j in range(pb)] for i in range(pa)])
     assert np.array_equal(full, cells)
 
 
@@ -146,7 +146,7 @@ def test_full_matrix_banded_matches_scalar(rng):
     full = dtw_matrix_full(mat, wu, ww, radius=radius)
     for i in range(full.shape[0]):
         for j in range(full.shape[1]):
-            assert full[i, j] == dtw_banded(mat, wu, ww, (i + 1, j + 1), radius)
+            assert full[i, j] == naive_dtw(mat, wu, ww, (i + 1, j + 1), radius)
 
 
 def test_batch_banded_matches_scalar(rng):
@@ -156,26 +156,21 @@ def test_batch_banded_matches_scalar(rng):
     a0 = rng.integers(0, 20 - wu + 1, size=60)
     b0 = rng.integers(0, 18 - ww + 1, size=60)
     batch, _ = dtw_batch(mat, wu, ww, a0, b0, radius=radius)
-    scalar = np.array([dtw_banded(mat, wu, ww, (a + 1, b + 1), radius) for a, b in zip(a0, b0)])
+    scalar = np.array([naive_dtw(mat, wu, ww, (a + 1, b + 1), radius) for a, b in zip(a0, b0)])
     assert np.array_equal(batch, scalar)
 
 
-def test_accumulated_distance_invariants(rng):
-    mat = np.abs(rng.normal(size=(10, 9)))
-    wu, ww = 5, 4
-    ad = accumulated_distance(mat, wu, ww, (3, 2))
-    assert ad.origin == (3, 2)
-    assert ad.grid[0, 0] == mat[2, 1]
-    assert ad.grid[-1, -1] == dtw_windowed(mat, wu, ww, (3, 2))
-    # each cell dominates the predecessor it extends (costs are nonnegative)
-    for p in range(wu):
-        for q in range(ww):
-            preds = []
-            if p > 0:
-                preds.append(ad.grid[p - 1, q])
-            if q > 0:
-                preds.append(ad.grid[p, q - 1])
-            if p > 0 and q > 0:
-                preds.append(ad.grid[p - 1, q - 1])
-            if preds:
-                assert ad.grid[p, q] >= min(preds) - 1e-12
+def test_full_matrix_across_chunk_edges(rng):
+    # 137 x 138 placements span two chunks of the brute-force table
+    mat = np.abs(rng.normal(size=(140, 140)))
+    wu, ww = 4, 3
+    pb = 140 - ww + 1
+    total = (140 - wu + 1) * pb
+    assert total > _FULL_CHUNK
+    edges = range(_FULL_CHUNK, total, _FULL_CHUNK)
+    flat = sorted({0, total - 1} | {e + k for e in edges for k in (-2, -1, 0, 1)})
+    for radius in (None, 1):
+        full = dtw_matrix_full(mat, wu, ww, radius=radius).ravel()
+        for f in flat:
+            i, j = divmod(f, pb)
+            assert full[f] == naive_dtw(mat, wu, ww, (i + 1, j + 1), radius)

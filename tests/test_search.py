@@ -8,7 +8,6 @@ from dtwsearch import (
     brute_force_search,
     compute_bounds,
     distance_matrix,
-    dtw_windowed,
     find_candidates,
     find_optimal_solutions,
     infer_most_similar,
@@ -17,6 +16,7 @@ from dtwsearch import (
     topk_to_json_list,
 )
 from dtwsearch.dtw import window_cells
+from oracles import naive_dtw
 
 U3 = TimeSeries(values=[0.0, 1.0, 3.0])
 W2 = TimeSeries(values=[0.0, 2.0])
@@ -34,7 +34,7 @@ def test_find_candidates_worked_example():
     bm = compute_bounds(m, 2, 2)
     cands = find_candidates(bm)
     assert len(cands) == 1
-    assert (cands[0].a, cands[0].b, cands[0].lower_bound) == (1, 1, 1.0)
+    assert (cands.a[0], cands.b[0], cands.lower_bounds[0]) == (1, 1, 1.0)
 
 
 def test_find_candidates_all_zero_keeps_everything():
@@ -52,7 +52,7 @@ def test_find_candidates_planted_zero_diagonal_leaves_one():
         mat[2 + k, 4 + k] = 0.0
     bm = compute_bounds(mat, 3, 3)
     cands = find_candidates(bm)
-    assert len(cands) == 1 and (cands[0].a, cands[0].b) == (3, 5)
+    assert len(cands) == 1 and (cands.a[0], cands.b[0]) == (3, 5)
 
 
 def test_find_candidates_sorted_by_lower_bound(rng):
@@ -115,7 +115,7 @@ def test_full_windows_single_placement(rng):
     res = infer_most_similar(u, w, WindowPair(9, 7))
     m = distance_matrix(u, w)
     assert res.solutions == frozenset({(1, 1)})
-    assert res.shortest_dist == dtw_windowed(m, 9, 7, (1, 1))
+    assert res.shortest_dist == naive_dtw(m.entries, 9, 7, (1, 1))
 
 
 def test_swap_correctness(rng):
@@ -268,7 +268,7 @@ def test_brute_force_table_orientation_under_swap(rng):
     assert res.swapped
     assert table.shape == (20 - 4 + 1, 26 - 7 + 1)
     m = distance_matrix(u, w)
-    assert table[2, 3] == dtw_windowed(m, 4, 7, (3, 4))
+    assert table[2, 3] == naive_dtw(m.entries, 4, 7, (3, 4))
 
 
 def test_top_k_head_matches_most_similar(rng):
