@@ -1,6 +1,7 @@
 """Exact variable-length subsequence similarity search under DTW."""
 
 from .core import (
+    STAGE_FIELDS,
     TIE_TOLERANCE,
     BandInfeasible,
     DimensionMismatch,

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
+    STAGE_FIELDS,
     DtwSearchError,
     EmptyFile,
     InvalidSpec,
@@ -268,13 +269,16 @@ def run_bench(args: argparse.Namespace) -> int:
     methods = args.methods.split(",")
     seeds = [int(t) for t in args.seeds.split(",")]
     warmup, reps = args.warmup, args.reps
+    if reps < 1:
+        raise InvalidSpec(f"--reps must be at least 1, got {reps}")
     for method in methods:
         if method not in BENCH_METHODS:
             raise InvalidSpec(f"unknown bench method {method!r}; choose from {', '.join(BENCH_METHODS)}")
 
     header = (
         "method,length,window_a,window_b,gamma,seed,band_radius,"
-        "pairs_total,pairs_after_prune,dtw_evaluations,dp_cells,runtime_ms"
+        "pairs_total,pairs_after_prune,dtw_evaluations,dp_cells,runtime_ms,"
+        + ",".join(STAGE_FIELDS)
     )
     lines = [header]
     for length, (wa, wb), gamma, seed in itertools.product(lengths, windows, gammas, seeds):
@@ -289,11 +293,8 @@ def run_bench(args: argparse.Namespace) -> int:
             fn = _bench_callable(method, radius)
             for _ in range(warmup):
                 fn(u, w, wp)
-            times = []
-            result = None
-            for _ in range(reps):
-                result = fn(u, w, wp)
-                times.append(result.stats.runtime_ms)
+            runs = [fn(u, w, wp).stats for _ in range(reps)]
+            last = runs[-1]
             banded = method in ("sakoe_chiba", "sp_sakoe_chiba")
             lines.append(
                 ",".join(
@@ -301,11 +302,11 @@ def run_bench(args: argparse.Namespace) -> int:
                     for v in (
                         method, length, wa, wb, gamma, seed,
                         radius if banded else "",
-                        result.stats.pairs_total,
-                        result.stats.pairs_after_prune,
-                        result.stats.dtw_evaluations,
-                        result.stats.dp_cells,
-                        statistics.median(times),
+                        last.pairs_total,
+                        last.pairs_after_prune,
+                        last.dtw_evaluations,
+                        last.dp_cells,
+                        *(statistics.median(getattr(s, f) for s in runs) for f in ("runtime_ms",) + STAGE_FIELDS),
                     )
                 )
             )

@@ -175,6 +175,10 @@ class WarpingPath:
         return self.steps[-1]
 
 
+# The per-stage timings of SearchStats, in pipeline order.
+STAGE_FIELDS = ("normalize_ms", "distance_ms", "bounds_ms", "candidates_ms", "evaluate_ms")
+
+
 @dataclass(frozen=True)
 class SearchStats:
     """Instrumentation counters for one search run.
@@ -184,6 +188,12 @@ class SearchStats:
     placements whose exact DTW was started, and dp_cells the number of DP
     cells computed for them (fewer than evaluations times window cells when
     placements are abandoned early).
+
+    The stage timings split runtime_ms: normalize_ms (validation, z-score
+    and the orientation swap), distance_ms (the pointwise distance matrix),
+    bounds_ms (the min-pool, lower- and upper-bound grids), candidates_ms
+    (the prune threshold, filter and sort) and evaluate_ms (exact DTW and
+    ranking). A stage an entry point does not run stays 0.0.
     """
 
     pairs_total: int
@@ -191,6 +201,11 @@ class SearchStats:
     dtw_evaluations: int
     runtime_ms: float
     dp_cells: int = 0
+    normalize_ms: float = 0.0
+    distance_ms: float = 0.0
+    bounds_ms: float = 0.0
+    candidates_ms: float = 0.0
+    evaluate_ms: float = 0.0
 
     def __post_init__(self):
         if not (self.dtw_evaluations <= self.pairs_after_prune <= self.pairs_total):

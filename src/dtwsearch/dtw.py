@@ -1,13 +1,16 @@
 """Exact windowed DTW, its band-constrained variant, and a path oracle.
 
-One kernel serves every evaluation. ``dtw_batch`` runs the rolling-row
-recurrence vectorized across placements, over each row's column range:
-the whole row, or the slope-adjusted band around the straight line
-between window corners. The pruned search calls it on chunks of
-candidates; given a threshold it also abandons each placement whose lower
-bound passes it, part way through its rows. ``dtw_windowed`` is the same
-kernel on one placement, and ``dtw_matrix_full`` (the brute-force table)
-is the same kernel on every placement, in fixed chunks.
+One kernel serves every evaluation. ``dtw_batch`` runs the recurrence as
+a wavefront over the window's anti-diagonals i + j = k, vectorized across
+placements: each diagonal is one range of rows within each row's column
+range (the whole row, or the slope-adjusted band around the straight line
+between window corners), so its costs come in one gather and its cells in
+three array operations. The pruned search calls it on chunks of
+candidates; given a threshold it also abandons, every few diagonals, each
+placement whose lower bound over the last two diagonals passes it.
+``dtw_windowed`` is the same kernel on one placement, and
+``dtw_matrix_full`` (the brute-force table) is the same kernel on every
+placement, in fixed chunks.
 
 The independent checks share no code with the kernel:
 ``dtw_path_oracle`` literally enumerates every warping path of a tiny
@@ -168,10 +171,26 @@ def window_cells(omega_u: int, omega_w: int, radius: int | None = None) -> int:
     return int((hi - lo + 1).sum())
 
 
+# Placements per wavefront pass, as a budget of cells of the longest
+# diagonal. A pass's arrays are (window rows) x (placements), and each
+# diagonal touches only its own rows of them, so sizing the pass by the
+# longest diagonal bounds what one diagonal touches, whatever the band
+# width: 256 KB per array, under 2 MB for the seven arrays it reads or
+# writes, which fits a 2 MB L2. On 80x60 windows that is 546 placements
+# unbanded and 3,276 with radius 8. On a 2-core Xeon, full 80x60 batches
+# ran at about the same cells per second with budgets 2^14 and 2^15, and
+# slower above: with radius 8 by 21% at 2^16, unbanded by up to 45% at 2^17.
+_PASS_CELLS = 1 << 15
+# Diagonals between abandoning checks. A check costs about as much as a
+# diagonal's DP, and the two-diagonal bound never falls from one diagonal
+# to the next, so a later check only costs the cells in between. On
+# search-easy, checking every diagonal or every other one ran the kernel
+# slower than every 4th; every 8th was no faster.
 _ABANDON_EVERY = 4
-# Placements per dtw_batch call in dtw_matrix_full. One DP row of a chunk
-# is 128 KB, so the rows a cell reads stay in a 2 MB L2 cache; on 80x60
-# windows, chunks of 8,192 ran about as fast and chunks of 32,768 1.26x slower.
+# Placements per dtw_batch call in dtw_matrix_full. The kernel's passes set
+# the cache footprint, so a chunk only bounds its start-index arrays: it is
+# 30 passes on 80x60 windows, 5 with radius 8. At n=800 brute force ran
+# within 7% of this from chunks of 4,096 to 65,536, banded or not.
 _FULL_CHUNK = 16384
 
 
@@ -180,26 +199,45 @@ def _front(buf: np.ndarray, width: int) -> np.ndarray:
     return buf.reshape(-1)[: buf.shape[0] * width].reshape(buf.shape[0], width)
 
 
+def _diagonal_rows(lo: np.ndarray, hi: np.ndarray, omega_w: int):
+    """First and last window row of each anti-diagonal k = i + j, as lists.
+
+    Row i holds columns lo[i] .. hi[i]. Both i + lo[i] and i + hi[i]
+    increase strictly with the row, so the rows a diagonal crosses are one
+    range; it is empty (last < first) where every path steps over it.
+    """
+    rows = np.arange(lo.size)
+    ks = np.arange(lo.size + omega_w - 1)
+    first = np.searchsorted(rows + hi, ks)
+    last = np.searchsorted(rows + lo, ks, side="right") - 1
+    return first.tolist(), last.tolist()
+
+
 def dtw_batch(m, omega_u: int, omega_w: int, a0, b0, *, radius: int | None = None, threshold=None, pool=None):
     """Windowed DTW at many placements at once (0-based start arrays).
 
-    Runs the rolling-row recurrence with the placement axis vectorized:
-    row 0 is a running sum, and every later cell is the minimum of its
-    three predecessors plus its cost, so a placement's value does not
-    depend on the batch it runs in. With a radius only each row's band
-    columns are computed; the others stay +inf. Returns the distances and
-    the number of DP cells computed.
+    Runs the recurrence as a wavefront over the anti-diagonals k = i + j of
+    the window, vectorized across placements. Cell (i, j) is the minimum of
+    its three predecessors, (i-1, j) and (i, j-1) on diagonal k-1 and
+    (i-1, j-1) on diagonal k-2, plus its cost; cell (0, 0) is its own cost.
+    A value is one minimum and one rounding from its inputs, so it does not
+    depend on the batch it runs in or the order cells are computed in. With
+    a radius only each row's band columns are computed; the others stay
+    +inf. Placements run in passes of a fixed number of cells per diagonal.
+    Returns the distances and the number of DP cells computed.
 
     With a threshold and the min-pool grid of the matrix (``pool[i, j]``,
     the minimum of row i over columns j .. j+omega_w-1), placements are
-    abandoned early: every few rows, a placement whose lower bound exceeds
-    the threshold is dropped from the batch and returned as +inf. The bound
-    is sound because a warping path leaves row p from some cell of it, so
-    its cost is at least the smallest accumulated value in row p, and it
-    then visits every later row at least once, each visit costing at least
-    that row's pool minimum. An abandoned placement's true DTW therefore
-    exceeds the threshold; every other value is exact. The caller pads the
-    threshold by its tie tolerance.
+    abandoned early. A step adds 1 or 2 to i + j, so every warping path
+    visits at least one of any two consecutive diagonals, at some cell
+    (i, j). Its cost is at least the accumulated value there plus one cell
+    of each later row, and each of those costs at least that row's pool
+    minimum. So every few diagonals, a placement whose smallest such sum
+    over diagonals k-1 and k exceeds the threshold has a DTW above it too,
+    and is abandoned. Abandoned placements leave their pass once they are
+    half of it and are returned as +inf; until then they are computed on,
+    so a few of them come back exact. Every finite value is exact. The
+    caller pads the threshold by its tie tolerance.
     """
     arr = _entries(m)
     n, cols = arr.shape
@@ -216,74 +254,106 @@ def dtw_batch(m, omega_u: int, omega_w: int, a0, b0, *, radius: int | None = Non
         raise BandInfeasible(
             f"radius {radius} band disconnects the corners of a ({omega_u},{omega_w}) window"
         )
+    if threshold is not None and pool is None:
+        raise InvalidSpec("abandoning against a threshold needs the min-pool grid")
+    first, last = _diagonal_rows(lo, hi, omega_w)
+    longest = max(l - f for f, l in zip(first, last)) + 1
+    step = max(1, _PASS_CELLS // longest)
     flat = arr.ravel()
-    base = a0 * cols + b0
-    nb = a0.size
-    inf = np.inf
-    out = np.full(nb, inf)
-    alive = np.arange(nb)
-
-    if threshold is not None:
-        if pool is None:
-            raise InvalidSpec("abandoning against a threshold needs the min-pool grid")
-        # rest[p // _ABANDON_EVERY] = sum of the pool minima of rows p .. omega_u-1,
-        # kept only for the rows where placements are checked.
-        pcols = pool.shape[1]
-        pbase = a0 * pcols + b0
-        pflat = pool.ravel()
-        rest = np.empty((omega_u // _ABANDON_EVERY + 1, nb))
-        tail = np.zeros(nb)
-        for p in range(omega_u - 1, 0, -1):
-            tail = tail + pflat[pbase + p * pcols]
-            if p % _ABANDON_EVERY == 0:
-                rest[p // _ABANDON_EVERY] = tail
-
-    prev = np.full((omega_w, nb), inf)
-    cur = np.full((omega_w, nb), inf)
-    acc = flat[base].copy()
-    prev[0] = acc
-    for q in range(1, int(hi[0]) + 1):
-        acc = acc + flat[base + q]
-        prev[q] = acc
-    cells = (int(hi[0]) + 1) * nb
-
-    tmp = np.empty(nb)
-    for p in range(1, omega_u):
-        if threshold is not None and p % _ABANDON_EVERY == 0:
-            bound = prev[int(lo[p - 1]) : int(hi[p - 1]) + 1].min(axis=0) + rest[p // _ABANDON_EVERY, alive]
-            keep = np.flatnonzero(bound <= threshold)
-            if keep.size < alive.size:
-                alive, base = alive[keep], base[keep]
-                if alive.size == 0:
-                    return out, cells
-                # Compact into the front of the existing buffers, which keeps
-                # every row C-contiguous and allocates nothing (mode="clip"
-                # writes straight into out; the default mode buffers it).
-                n = alive.size
-                prev, cur = np.take(prev, keep, axis=1, out=_front(cur, n), mode="clip"), _front(prev, n)
-                tmp = tmp[:n]
-        rowbase = base + p * cols
-        plo, phi = int(lo[p]), int(hi[p])
-        cells += (phi - plo + 1) * alive.size
-        # Cells this row reads that the previous row never wrote must be inf.
-        r0 = max(0, plo - 1)
-        lo_prev, hi_prev = int(lo[p - 1]), int(hi[p - 1])
-        if r0 < lo_prev:
-            prev[r0 : min(phi + 1, lo_prev)] = inf
-        if phi > hi_prev:
-            prev[max(r0, hi_prev + 1) : phi + 1] = inf
-        if plo >= 1:
-            cur[plo - 1] = inf
-        for q in range(plo, phi + 1):
-            if q == 0:
-                np.add(prev[0], flat[rowbase], out=cur[0])
-                continue
-            np.minimum(prev[q], prev[q - 1], out=tmp)
-            np.minimum(tmp, cur[q - 1], out=tmp)
-            np.add(tmp, flat[rowbase + q], out=cur[q])
-        prev, cur = cur, prev
-    out[alive] = prev[omega_w - 1]
+    out = np.empty(a0.size)
+    cells = 0
+    for s in range(0, a0.size, step):
+        pa, pb = a0[s : s + step], b0[s : s + step]
+        rest = None if threshold is None else _remaining(pool, pa, pb, omega_u)
+        cells += _wavefront(flat, cols, pa * cols + pb, first, last, longest, rest, threshold, out[s : s + step])
     return out, cells
+
+
+def _remaining(pool: np.ndarray, a0: np.ndarray, b0: np.ndarray, omega_u: int) -> np.ndarray:
+    """rest[i + 1] = the sum of the pool minima of window rows i+1 .. omega_u-1, per placement."""
+    pcols = pool.shape[1]
+    pflat = pool.ravel()
+    pbase = a0 * pcols + b0
+    rest = np.zeros((omega_u + 2, a0.size))
+    for p in range(omega_u - 1, 0, -1):
+        np.add(rest[p + 1], pflat[pbase + p * pcols], out=rest[p])
+    return rest
+
+
+def _lowest(d: np.ndarray, rest: np.ndarray, f: int, l: int, work: np.ndarray) -> np.ndarray:
+    """Per placement, the smallest accumulated value plus rest over rows f .. l of one diagonal."""
+    if l < f:
+        return np.full(d.shape[1], np.inf)
+    t = work[: l - f + 1]
+    np.add(d[f + 1 : l + 2], rest[f + 1 : l + 2], out=t)
+    return t.min(axis=0)
+
+
+def _wavefront(flat, cols, base, first, last, longest, rest, threshold, out) -> int:
+    """One pass of dtw_batch over the placements whose (0, 0) cell is flat[base].
+
+    Writes each distance, or +inf for an abandoned placement, into out and
+    returns the number of DP cells computed.
+    """
+    omega_u = last[-1] + 1  # the last diagonal is the corner cell alone
+    n = base.size
+    inf = np.inf
+    out[:] = inf
+    # Three buffers hold diagonals k-2, k-1 and k by window row, shifted
+    # down by one: buffer row i + 1 is cell (i, k - i), so row 0 stands for
+    # row -1. A diagonal's cells are rows first[k] .. last[k]; the row
+    # below them is inf (set whenever a stale value could be there) and the
+    # rows above them were never written, so edge cells of the window or
+    # band read inf for their missing predecessors.
+    d2, d1, d0 = (np.full((omega_u + 2, n), inf) for _ in range(3))
+    d1[1] = flat[base]
+    # The cost of cell (i, k - i) is flat[k + idx[i]]. Every index is in
+    # range, and mode="clip" lets take write straight into its out array
+    # (the default mode buffers it).
+    idx = base + (np.arange(omega_u) * (cols - 1))[:, None]
+    pos = np.arange(n)
+    costs = np.empty((longest, n))
+    work = np.empty((longest, n))
+    cv = costs
+    cells = n
+    for k in range(1, len(first)):
+        f, l = first[k], last[k]
+        c = cv[: l - f + 1]
+        flat[k:].take(idx[f : l + 1], out=c, mode="clip")
+        new = d0[f + 1 : l + 2]
+        np.minimum(d1[f : l + 1], d1[f + 1 : l + 2], out=new)
+        np.minimum(new, d2[f : l + 1], out=new)
+        np.add(new, c, out=new)
+        if k >= 3 and f > first[k - 3]:
+            d0[f] = inf  # held a cell of diagonal k-3
+        cells += (l - f + 1) * n
+        d2, d1, d0 = d1, d0, d2
+        if threshold is None or k % _ABANDON_EVERY:
+            continue
+        wv = _front(work, n)
+        lower = np.minimum(_lowest(d1, rest, f, l, wv), _lowest(d2, rest, first[k - 1], last[k - 1], wv))
+        live = lower <= threshold
+        count = np.count_nonzero(live)
+        if count == 0:
+            return cells
+        if 2 * count <= n:
+            # Drop the abandoned placements once they are half the pass or
+            # more; until then they are computed on, exactly. The two live
+            # diagonals go to the front of the free buffer and of the older
+            # one; rows below f are not read again.
+            keep = np.flatnonzero(live)
+            n = keep.size
+            nd1 = _front(d0, n)
+            np.take(d1[f:], keep, axis=1, out=nd1[f:], mode="clip")
+            nd2 = _front(d1, n)
+            np.take(d2[f:], keep, axis=1, out=nd2[f:], mode="clip")
+            d0 = _front(d2, n)
+            d0[f:] = inf
+            d1, d2 = nd1, nd2
+            idx, rest, pos = idx[:, keep], rest[:, keep], pos[keep]
+            cv = _front(costs, n)
+    out[pos] = d1[omega_u]
+    return cells
 
 
 def dtw_matrix_full(m, omega_u: int, omega_w: int, *, radius: int | None = None) -> np.ndarray:

@@ -11,14 +11,14 @@ never undershoots it, the result provably equals the brute-force answer,
 tie-set included.
 
 One evaluation loop serves both: candidates go in growing chunks through
-the vectorized batch kernel, which abandons a placement as soon as its
-accumulated row minimum plus the pool minima of its remaining rows
-exceeds the threshold. That sum is a lower bound on the placement's DTW,
-so an abandoned placement cannot be optimal (or among the k best), and
-every placement that can is computed exactly. Every threshold comparison
-is padded by the tie tolerance, so a placement tied with the optimum is
-never pruned, skipped or abandoned; tie membership is resolved against
-the final minimum with the same tolerance.
+the vectorized batch kernel, which abandons a placement once the smallest
+accumulated value on two consecutive anti-diagonals, plus the pool minima
+of the rows below it, exceeds the threshold. That sum is a lower bound on
+the placement's DTW, so an abandoned placement cannot be optimal (or among
+the k best), and every placement that can is computed exactly. Every
+threshold comparison is padded by the tie tolerance, so a placement tied
+with the optimum is never pruned, skipped or abandoned; tie membership is
+resolved against the final minimum with the same tolerance.
 """
 from __future__ import annotations
 
@@ -28,6 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (
+    STAGE_FIELDS,
     TIE_TOLERANCE,
     InvalidSpec,
     SearchResult,
@@ -89,6 +90,24 @@ class TopKResult:
     matches: tuple
     truncated: bool
     stats: SearchStats
+
+
+class _Stages:
+    """Milliseconds of each stage of one search, as SearchStats fields."""
+
+    def __init__(self):
+        self.start = self.last = time.perf_counter()
+        self.ms = {}
+
+    def lap(self, stage: str):
+        """Charge the time since the previous lap to the named stage field."""
+        now = time.perf_counter()
+        self.ms[stage] = self.ms.get(stage, 0.0) + (now - self.last) * 1e3
+        self.last = now
+
+    def fields(self) -> dict:
+        """The stage fields, and runtime_ms: the time since the clock started."""
+        return dict(self.ms, runtime_ms=(time.perf_counter() - self.start) * 1e3)
 
 
 class Candidates:
@@ -237,11 +256,15 @@ def infer_most_similar(
     caller's orientation even when the series were swapped internally.
     """
     opts = options or SearchOptions()
-    t0 = time.perf_counter()
+    clock = _Stages()
     su, sw, wu, ww, swapped = _prepare(u, w, wp, opts)
+    clock.lap("normalize_ms")
     m = distance_matrix(su, sw)
+    clock.lap("distance_ms")
     bm = compute_bounds(m, wu, ww, band_safe=opts.band_radius is not None)
+    clock.lap("bounds_ms")
     cands = find_candidates(bm, tie_tolerance=opts.tie_tolerance)
+    clock.lap("candidates_ms")
     res = find_optimal_solutions(
         m.entries,
         wu,
@@ -254,7 +277,8 @@ def infer_most_similar(
     solutions = res.solutions
     if swapped:
         solutions = frozenset((b, a) for a, b in solutions)
-    stats = replace(res.stats, runtime_ms=(time.perf_counter() - t0) * 1e3)
+    clock.lap("evaluate_ms")
+    stats = replace(res.stats, **clock.fields())
     return SearchResult(
         solutions=solutions,
         shortest_dist=res.shortest_dist,
@@ -281,9 +305,11 @@ def brute_force_search(
     distance grid, oriented as (start in u) x (start in w).
     """
     opts = options or SearchOptions()
-    t0 = time.perf_counter()
+    clock = _Stages()
     su, sw, wu, ww, swapped = _prepare(u, w, wp, opts)
+    clock.lap("normalize_ms")
     m = distance_matrix(su, sw)
+    clock.lap("distance_ms")
     table = dtw_matrix_full(m.entries, wu, ww, radius=opts.band_radius)
     shortest = float(table.min())
     ii, jj = np.nonzero(table <= shortest + opts.tie_tolerance)
@@ -293,12 +319,13 @@ def brute_force_search(
     else:
         solutions = frozenset(zip((ii + 1).tolist(), (jj + 1).tolist()))
     total = int(table.size)
+    clock.lap("evaluate_ms")
     stats = SearchStats(
         pairs_total=total,
         pairs_after_prune=total,
         dtw_evaluations=total,
-        runtime_ms=(time.perf_counter() - t0) * 1e3,
         dp_cells=total * window_cells(wu, ww, opts.band_radius),
+        **clock.fields(),
     )
     result = SearchResult(
         solutions=solutions,
@@ -355,21 +382,30 @@ def top_k_search(
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise InvalidSpec(f"k must be a positive integer, got {k!r}")
     opts = options or SearchOptions()
-    t0 = time.perf_counter()
+    clock = _Stages()
     su, sw, wu, ww, swapped = _prepare(u, w, wp, opts)
+    clock.lap("normalize_ms")
     m = distance_matrix(su, sw)
+    clock.lap("distance_ms")
     bm = compute_bounds(m, wu, ww, band_safe=opts.band_radius is not None)
+    clock.lap("bounds_ms")
     total = int(bm.min_path.size)
     k_eff = min(int(k), total)
     tol = opts.tie_tolerance
 
-    kk = k_eff
+    # The first round ranks the k_eff best placements, which is the answer
+    # without exclusion. Where exclusion leaves fewer picks, each later round
+    # raises the distance threshold to the kk-th smallest upper bound and
+    # ranks every placement at or below it; kk reaching every placement
+    # makes the threshold the largest upper bound, which ranks them all.
+    kk = need = k_eff
     d = None
     cells = 0
     while True:
         bound = _kth_smallest(bm.max_path, kk)
         cands = find_candidates(bm, threshold=bound, tie_tolerance=tol)
-        d, kth, c = _evaluate(m.entries, wu, ww, cands, bm, kk, bound, tol, opts.band_radius, d)
+        clock.lap("candidates_ms")
+        d, kth, c = _evaluate(m.entries, wu, ww, cands, bm, need, bound, tol, opts.band_radius, d)
         cells += c
         a, b = cands.a[: d.size], cands.b[: d.size]
         ra, rb = (b, a) if swapped else (a, b)
@@ -378,24 +414,26 @@ def top_k_search(
         ranked = np.flatnonzero(d <= kth + tol)
         ranked = ranked[np.lexsort((rb[ranked], ra[ranked], d[ranked]))]
         chosen = _spread(ranked, a, b, bm.shape, opts.exclusion, k_eff)
-        # Without exclusion the prefix always holds k_eff placements.
+        clock.lap("evaluate_ms")
         if chosen.size == k_eff or kk == total:
             break
-        # Picks grow about linearly with the prefix until the grid fills up;
-        # aim at twice the prefix that estimate needs, so that placements
-        # abandoned under a low threshold are seldom evaluated more than twice.
-        kk = min(total, max(4 * kk, 2 * kk * k_eff // max(chosen.size, 1)))
+        # Picks grow about linearly with the placements ranked until the grid
+        # fills up; aim at the threshold that estimate needs, at least
+        # doubling kk so that the rounds stay few.
+        kk = min(total, max(2 * kk, kk * k_eff // max(chosen.size, 1)))
+        need = total
 
     matches = tuple(
         RankedMatch(a=int(ra[i]), b=int(rb[i]), distance=float(d[i]), rank=r + 1)
         for r, i in enumerate(chosen.tolist())
     )
+    clock.lap("evaluate_ms")
     stats = SearchStats(
         pairs_total=total,
         pairs_after_prune=len(cands),
         dtw_evaluations=d.size,
-        runtime_ms=(time.perf_counter() - t0) * 1e3,
         dp_cells=cells,
+        **clock.fields(),
     )
     return TopKResult(matches=matches, truncated=len(matches) < k, stats=stats)
 
@@ -416,6 +454,7 @@ def result_to_json_dict(result: SearchResult) -> dict:
             "dtw_evaluations": result.stats.dtw_evaluations,
             "dp_cells": result.stats.dp_cells,
             "runtime_ms": result.stats.runtime_ms,
+            **{name: getattr(result.stats, name) for name in STAGE_FIELDS},
         },
     }
 

@@ -145,7 +145,7 @@ def test_search_determinism_excluding_runtime(tmp_path):
         out = tmp_path / name
         assert main(["search", "--a", a, "--b", b, "--wa", "2", "--wb", "2", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
-        doc["stats"].pop("runtime_ms")
+        doc["stats"] = {k: v for k, v in doc["stats"].items() if not k.endswith("_ms")}
         docs.append(doc)
     assert docs[0] == docs[1]
 
@@ -205,6 +205,15 @@ def test_bench_all_methods_agree_on_band_radius(tmp_path):
     assert rc == 0
     lines = out.read_text().splitlines()
     assert len(lines) == 5  # header + 4 methods
+
+
+def test_bench_rejects_zero_reps(tmp_path, capsys):
+    rc = main([
+        "bench", "--lengths", "60", "--windows", "10", "--gammas", "0.1", "--methods", "sp",
+        "--seeds", "0", "--warmup", "0", "--reps", "0", "--out", str(tmp_path / "bench.csv"),
+    ])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "InvalidSpec"
 
 
 def test_missing_input_reports_error_json(tmp_path, capsys):

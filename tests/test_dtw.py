@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dtwsearch import (
+    TIE_TOLERANCE,
     BandInfeasible,
     IndexOutOfRange,
     InstanceTooLarge,
@@ -12,7 +13,8 @@ from dtwsearch import (
     dtw_path_oracle,
     dtw_windowed,
 )
-from dtwsearch.dtw import _FULL_CHUNK
+from dtwsearch.bounds import min_pool
+from dtwsearch.dtw import _FULL_CHUNK, _PASS_CELLS, window_cells
 from oracles import naive_dtw
 
 WORKED = np.array([[0.0, 2.0], [1.0, 1.0], [3.0, 1.0]])
@@ -174,3 +176,50 @@ def test_full_matrix_across_chunk_edges(rng):
         for f in flat:
             i, j = divmod(f, pb)
             assert full[f] == naive_dtw(mat, wu, ww, (i + 1, j + 1), radius)
+
+
+def _kernel_case(rng):
+    """A seeded random kernel case: matrix, window shape and radius."""
+    shape = rng.integers(1, 13, size=2)
+    wu, ww = int(shape[0]), int(shape[1])
+    kind = rng.integers(4)
+    if kind == 0:
+        ww = 1
+    elif kind == 1:
+        ww = wu
+    radius = None if rng.random() < 0.3 else int(rng.integers(1, 9))
+    # Squared normals make some cells far cheaper than their neighbours, so
+    # optimal paths often take diagonal steps between cheap cells.
+    mat = rng.normal(size=(wu + int(rng.integers(0, 7)), ww + int(rng.integers(0, 7)))) ** 2
+    return mat, wu, ww, radius
+
+
+def test_kernel_abandoning_property(rng):
+    """Finite outputs equal the pure-Python recurrence bitwise; +inf ones exceed the threshold.
+
+    Each batch is larger than one wavefront pass, so placements abandoned,
+    compacted and computed to the end share passes, and the thresholds are
+    true distances, so some placements sit exactly at the threshold.
+    """
+    checked = abandoned = 0
+    while checked < 80:
+        mat, wu, ww, radius = _kernel_case(rng)
+        try:
+            dtw_batch(mat, wu, ww, [0], [0], radius=radius)
+        except BandInfeasible:
+            continue
+        checked += 1
+        pa, pb = mat.shape[0] - wu + 1, mat.shape[1] - ww + 1
+        truth = np.array([[naive_dtw(mat, wu, ww, (a + 1, b + 1), radius) for b in range(pb)] for a in range(pa)])
+        size = _PASS_CELLS + int(rng.integers(1, 2000))
+        a0, b0 = rng.integers(0, pa, size=size), rng.integers(0, pb, size=size)
+        full, cells = dtw_batch(mat, wu, ww, a0, b0, radius=radius)
+        assert np.array_equal(full, truth[a0, b0])
+        assert cells == size * window_cells(wu, ww, radius)
+        threshold = float(rng.choice(truth.ravel()))
+        out, _ = dtw_batch(mat, wu, ww, a0, b0, radius=radius, threshold=threshold, pool=min_pool(mat, ww))
+        done = np.isfinite(out)
+        assert np.array_equal(out[done], truth[a0, b0][done])
+        assert np.all(truth[a0, b0][~done] > threshold - TIE_TOLERANCE)
+        abandoned += int((~done).sum())
+    assert abandoned > 0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dtwsearch import (
+    STAGE_FIELDS,
     SearchOptions,
     TimeSeries,
     WindowPair,
@@ -191,7 +192,7 @@ def brute_ranking(u, w, wp, opts):
 
 @pytest.mark.parametrize("radius", [None, 3])
 def test_abandoning_keeps_exact_tie_set(rng, radius):
-    # 20-row windows, so placements are checked for abandoning four times.
+    # 20x16 windows have 35 anti-diagonals, so placements are checked for abandoning eight times.
     wp, opts = WindowPair(20, 16), SearchOptions(band_radius=radius)
     for _ in range(3):
         u, w = twin_motif_pair(rng)
@@ -354,11 +355,29 @@ def test_result_json_schema():
     assert doc["solutions"] == [{"a": 1, "b": 1}]
     assert set(doc["stats"]) == {
         "pairs_total", "pairs_after_prune", "dtw_evaluations", "dp_cells", "runtime_ms",
+        "normalize_ms", "distance_ms", "bounds_ms", "candidates_ms", "evaluate_ms",
     }
     assert doc["stats"]["dp_cells"] == 4  # one 2x2 placement evaluated
     tk = top_k_search(U3, W2, WindowPair(2, 2), 2)
     arr = topk_to_json_list(tk)
     assert arr[0] == {"rank": 1, "a": 1, "b": 1, "distance": 1.0}
+
+
+def test_stage_timings_split_runtime(rng):
+    u, w = random_pair(rng, 60, 50, dims=2)
+    wp = WindowPair(8, 6)
+    runs = {
+        "search": infer_most_similar(u, w, wp, SearchOptions(normalize="zscore")),
+        "topk": top_k_search(u, w, wp, 5, SearchOptions(exclusion=2)),
+        "brute": brute_force_search(u, w, wp),
+    }
+    for name, res in runs.items():
+        stages = [getattr(res.stats, f) for f in STAGE_FIELDS]
+        assert min(stages) >= 0.0, name
+        assert sum(stages) <= res.stats.runtime_ms, name
+    # Every stage of the pruned pipeline runs, and brute force has no bounds or candidates.
+    assert min(getattr(runs["search"].stats, f) for f in STAGE_FIELDS) > 0.0
+    assert runs["brute"].stats.bounds_ms == runs["brute"].stats.candidates_ms == 0.0
 
 
 def test_normalized_search_flag(rng):
