@@ -32,7 +32,7 @@ from .bounds import (
     lower_bound_matrix,
     min_pool,
     upper_bound_matrix,
-    upper_bound_matrix_banded,
+    upper_bound_path,
 )
 from .dtw import (
     band_column_ranges,

@@ -2,13 +2,15 @@
 
 The lower bound sums, for each row the longer window passes through, the
 minimum pointwise distance within the shorter window's column span. The
-upper bound is the cost of one fixed valid warping path, so it can never
-undercut the true DTW. Any placement whose lower bound exceeds the global
+upper bound is the cost of one valid warping path inside the band the
+search evaluates (upper_bound_path), so it can never undercut the DTW the
+search computes. Any placement whose lower bound exceeds the global
 minimum of the upper-bound matrix provably cannot be optimal.
 
-Both bound grids are built in O(nm) from cumulative sums, not by
-rescanning omega cells per entry; that is what makes pruning cheaper than
-the search it replaces.
+Both bound grids are built from cumulative sums, not by rescanning omega
+cells per entry: the lower bound in O(nm), the upper bound in O(nm) per
+straight segment of its path. That is what makes pruning cheaper than the
+search it replaces.
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ import numpy as np
 from scipy.ndimage import minimum_filter1d
 
 from .core import TIE_TOLERANCE, WindowOrderViolated, WindowTooLarge
+from .dtw import _resolve_ranges
 from .metrics import _entries
 
 
@@ -27,7 +30,7 @@ class BoundMatrices:
 
     min_pool:  n x (m - omega_w + 1), row-window minima of the distance matrix.
     min_path:  lower-bound grid over all placements.
-    max_path:  upper-bound grid (fixed-path cost) over all placements.
+    max_path:  upper-bound grid (cost of one in-band path) over all placements.
     min_of_max_path: global minimum of max_path, the prune threshold.
     """
 
@@ -98,87 +101,89 @@ def _check_window_order(arr: np.ndarray, omega_u: int, omega_w: int):
         raise WindowTooLarge(f"windows ({omega_u},{omega_w}) do not fit matrix of shape {arr.shape}")
 
 
-def upper_bound_matrix(m, omega_u: int, omega_w: int) -> np.ndarray:
-    """Cost of the diagonal-then-last-column path at every placement.
+def upper_bound_path(omega_u: int, omega_w: int, radius: int | None = None) -> np.ndarray:
+    """Column offset of each window row on the path the upper bound prices.
 
-    out[i, j] = sum_{k<omega_w-1} M[i+k, j+k]
-              + sum_{omega_w-1<=k<omega_u} M[i+k, j+omega_w-1].
-
-    The path is a valid warping path whenever omega_u >= omega_w, so the
-    value can never be below the true windowed DTW.
+    Each row keeps to its column range (the whole row, or the band of the
+    given radius, as the DTW kernel computes it), clipped to the columns
+    from which both window corners can still be reached one row at a time.
+    The path starts at column 0 and keeps its direction, diagonal or down,
+    until a range forces a turn. Without a band it is the diagonal, then the
+    last column. Requires omega_u >= omega_w.
     """
-    arr = _entries(m)
-    _check_window_order(arr, omega_u, omega_w)
-    n, cols = arr.shape
-    pa = n - omega_u + 1
-    pb = cols - omega_w + 1
-
-    # Diagonal running sums: dsp[i+1, j+1] = M[i, j] + dsp[i, j].
-    dsp = np.zeros((n + 1, cols + 1))
-    for i in range(n):
-        dsp[i + 1, 1:] = arr[i] + dsp[i, :-1]
-    ldiag = omega_w - 1
-    diag_part = dsp[ldiag : ldiag + pa, ldiag : ldiag + pb] - dsp[:pa, :pb]
-
-    # Last-column sums over rows i+omega_w-1 .. i+omega_u-1.
-    vcp = np.vstack([np.zeros((1, cols)), np.cumsum(arr, axis=0)])
-    col = slice(omega_w - 1, omega_w - 1 + pb)
-    col_part = vcp[omega_u : omega_u + pa, col] - vcp[omega_w - 1 : omega_w - 1 + pa, col]
-
-    return diag_part + col_part
-
-
-def staircase_offsets(omega_u: int, omega_w: int) -> np.ndarray:
-    """Column offsets of the path hugging the (1,1)-to-(wu,ww) line.
-
-    offsets[p] = floor(p * (omega_w-1) / max(omega_u-1, 1)). Steps change
-    by 0 or 1 when omega_u >= omega_w, the endpoints hit both corners, and
-    every cell deviates from the straight line by less than one column, so
-    the path lies inside any slope-adjusted band of radius >= 1.
-    """
-    p = np.arange(omega_u, dtype=np.int64)
-    return (p * (omega_w - 1)) // max(omega_u - 1, 1)
-
-
-def upper_bound_matrix_banded(m, omega_u: int, omega_w: int) -> np.ndarray:
-    """Cost of the band-center staircase path at every placement.
-
-    Unlike the diagonal-then-last-column path, this path stays inside any
-    slope-adjusted band of radius >= 1, so the resulting grid upper-bounds
-    the *banded* windowed DTW and keeps the prune sound when the search
-    runs with a band constraint.
-    """
-    arr = _entries(m)
-    _check_window_order(arr, omega_u, omega_w)
-    n, cols = arr.shape
-    pa = n - omega_u + 1
-    pb = cols - omega_w + 1
-    offsets = staircase_offsets(omega_u, omega_w)
-    out = np.zeros((pa, pb))
+    if omega_u < omega_w:
+        raise WindowOrderViolated(f"the upper-bound path requires omega_u >= omega_w, got ({omega_u}, {omega_w})")
+    lo, hi = _resolve_ranges(omega_u, omega_w, radius)
+    rows = np.arange(omega_u)
+    low = np.maximum(lo, rows - (omega_u - omega_w)).tolist()
+    high = np.minimum(hi, rows).tolist()
+    path = []
+    prev, step = -1, 1
     for p in range(omega_u):
-        q = int(offsets[p])
-        out += arr[p : p + pa, q : q + pb]
+        q = min(max(prev + step, low[p]), high[p])
+        prev, step = q, q - prev
+        path.append(q)
+    return np.array(path, dtype=np.int64)
+
+
+def upper_bound_matrix(m, omega_u: int, omega_w: int, radius: int | None = None) -> np.ndarray:
+    """Cost of the upper-bound path (upper_bound_path) at every placement.
+
+    The path is a valid warping path inside the band of the given radius
+    (or unbanded), so the value can never be below the windowed DTW under
+    that band. Each straight segment of the path is one difference of
+    shifted prefix-sum grids, along the diagonal or down a column.
+    """
+    arr = _entries(m)
+    _check_window_order(arr, omega_u, omega_w)
+    n, cols = arr.shape
+    pa = n - omega_u + 1
+    pb = cols - omega_w + 1
+    path = upper_bound_path(omega_u, omega_w, radius).tolist()
+    steps = np.diff(path, prepend=-1)
+    starts = np.flatnonzero(np.diff(steps, prepend=-1))
+    segments = list(zip(starts.tolist(), np.diff(starts, append=omega_u).tolist(), steps[starts].tolist()))
+
+    out = np.zeros((pa, pb))
+    for p, length, _ in segments:
+        if length == 1:
+            q = path[p]
+            out += arr[p : p + pa, q : q + pb]
+    # One running-sum grid at a time, so the builder holds at most one n x m
+    # grid beyond its output: sums[i+1, j+step] = M[i, j] + sums[i, j].
+    for step in (1, 0):
+        runs = [(p, length) for p, length, s in segments if length > 1 and s == step]
+        if not runs:
+            continue
+        sums = np.zeros((n + 1, cols + step))
+        if step:
+            for i in range(n):
+                np.add(arr[i], sums[i, :-1], out=sums[i + 1, 1:])
+        else:
+            np.cumsum(arr, axis=0, out=sums[1:])
+        for p, length in runs:
+            q = path[p]
+            e, f = p + length, q + step * length
+            out += sums[e : e + pa, f : f + pb] - sums[p : p + pa, q : q + pb]
+        del sums
     return out
 
 
-def compute_bounds(m, omega_u: int, omega_w: int, *, band_safe: bool = False) -> BoundMatrices:
+def compute_bounds(m, omega_u: int, omega_w: int, *, radius: int | None = None) -> BoundMatrices:
     """Build all bound grids for one search instance.
 
-    With band_safe=True the upper bound follows the staircase path so the
-    prune threshold remains valid for band-constrained DTW.
+    radius is the band the search evaluates DTW under (None for no band);
+    the upper bound prices a path inside it, so the prune threshold is
+    valid for that distance.
     """
     arr = _entries(m)
     _check_window_order(arr, omega_u, omega_w)
     pool = min_pool(arr, omega_w)
     lower = lower_bound_matrix(pool, omega_u)
-    if band_safe:
-        upper = upper_bound_matrix_banded(arr, omega_u, omega_w)
-    else:
-        upper = upper_bound_matrix(arr, omega_u, omega_w)
+    upper = upper_bound_matrix(arr, omega_u, omega_w, radius)
     return BoundMatrices(
         min_pool=pool,
         min_path=lower,
         max_path=upper,
         min_of_max_path=float(upper.min()),
     )
-

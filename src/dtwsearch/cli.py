@@ -124,7 +124,7 @@ def _dump_bounds(u, w, wp, args: argparse.Namespace, prefix):
 
     su, sw, wu, ww, swapped = _prepare(u, w, wp, _search_options(args))
     m = distance_matrix(su, sw)
-    bm = compute_bounds(m, wu, ww, band_safe=args.band is not None)
+    bm = compute_bounds(m, wu, ww, radius=args.band)
     note = "series were swapped (omega_b > omega_a): rows index --b, cols index --a" if swapped else "rows index --a, cols index --b"
     for name, grid in (("minpath", bm.min_path), ("maxpath", bm.max_path)):
         _write_grid_csv(

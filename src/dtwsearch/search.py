@@ -59,7 +59,6 @@ class SearchOptions:
 
     normalize: str = "none"
     band_radius: int | None = None
-    tie_tolerance: float = TIE_TOLERANCE
     exclusion: int = 0
 
     def __post_init__(self):
@@ -69,10 +68,8 @@ class SearchOptions:
             not isinstance(self.band_radius, (int, np.integer)) or self.band_radius < 1
         ):
             raise InvalidSpec(f"band_radius must be None or an integer >= 1, got {self.band_radius!r}")
-        if self.tie_tolerance < 0:
-            raise InvalidSpec("tie_tolerance must be nonnegative")
-        if self.exclusion < 0:
-            raise InvalidSpec("exclusion must be nonnegative")
+        if not isinstance(self.exclusion, (int, np.integer)) or self.exclusion < 0:
+            raise InvalidSpec(f"exclusion must be an integer >= 0, got {self.exclusion!r}")
 
 
 @dataclass(frozen=True)
@@ -129,9 +126,7 @@ class Candidates:
         return self.a.size
 
 
-def find_candidates(
-    bm: BoundMatrices, *, threshold: float | None = None, tie_tolerance: float = TIE_TOLERANCE
-) -> Candidates:
+def find_candidates(bm: BoundMatrices, *, threshold: float | None = None) -> Candidates:
     """Placements whose lower bound does not exceed the prune threshold.
 
     The default threshold is the minimum of the upper-bound grid. The
@@ -140,14 +135,14 @@ def find_candidates(
     ties by (a, b).
     """
     thr = bm.min_of_max_path if threshold is None else threshold
-    mask = bm.min_path <= thr + tie_tolerance
+    mask = bm.min_path <= thr + TIE_TOLERANCE
     ii, jj = np.nonzero(mask)
     lbs = bm.min_path[ii, jj]
     order = np.lexsort((jj, ii, lbs))
     return Candidates(a=ii[order] + 1, b=jj[order] + 1, lower_bounds=lbs[order])
 
 
-def _evaluate(m, omega_u, omega_w, cands: Candidates, bm: BoundMatrices, k, bound, tol, radius, d=None):
+def _evaluate(m, omega_u, omega_w, cands: Candidates, bm: BoundMatrices, k, bound, radius, d=None):
     """Exact DTW of candidates in lower-bound order, under a moving threshold.
 
     The threshold is the smaller of ``bound`` and the k-th smallest
@@ -169,7 +164,7 @@ def _evaluate(m, omega_u, omega_w, cands: Candidates, bm: BoundMatrices, k, boun
     def batch(idx):
         nonlocal cells
         out, c = dtw_batch(
-            m, omega_u, omega_w, a0[idx], b0[idx], radius=radius, threshold=thr + tol, pool=bm.min_pool
+            m, omega_u, omega_w, a0[idx], b0[idx], radius=radius, threshold=thr + TIE_TOLERANCE, pool=bm.min_pool
         )
         cells += c
         return out
@@ -178,14 +173,14 @@ def _evaluate(m, omega_u, omega_w, cands: Candidates, bm: BoundMatrices, k, boun
         return bound if values.size < k else min(bound, _kth_smallest(values, k))
 
     thr = kth(d)
-    redo = np.flatnonzero(np.isinf(d) & (lbs[: d.size] <= thr + tol))
+    redo = np.flatnonzero(np.isinf(d) & (lbs[: d.size] <= thr + TIE_TOLERANCE))
     if redo.size:
         d = d.copy()
         d[redo] = batch(redo)
         thr = kth(d)
     chunk = _FIRST_CHUNK
-    while (pos := d.size) < lbs.size and lbs[pos] <= thr + tol:
-        end = pos + int(np.searchsorted(lbs[pos : pos + chunk], thr + tol, side="right"))
+    while (pos := d.size) < lbs.size and lbs[pos] <= thr + TIE_TOLERANCE:
+        end = pos + int(np.searchsorted(lbs[pos : pos + chunk], thr + TIE_TOLERANCE, side="right"))
         d = np.concatenate((d, batch(slice(pos, end))))
         thr = kth(d)
         chunk = min(chunk * 4, _MAX_CHUNK)
@@ -199,7 +194,6 @@ def find_optimal_solutions(
     candidates: Candidates,
     bm: BoundMatrices,
     *,
-    tie_tolerance: float = TIE_TOLERANCE,
     band_radius: int | None = None,
 ) -> SearchResult:
     """Evaluate candidates in lower-bound order, keeping the best tie-set.
@@ -210,11 +204,9 @@ def find_optimal_solutions(
     """
     t0 = time.perf_counter()
     assert len(candidates), "candidate list cannot be empty: the argmin of the upper bound always survives"
-    d, _, cells = _evaluate(
-        m, omega_u, omega_w, candidates, bm, 1, bm.min_of_max_path, tie_tolerance, band_radius
-    )
+    d, _, cells = _evaluate(m, omega_u, omega_w, candidates, bm, 1, bm.min_of_max_path, band_radius)
     shortest = float(d.min())
-    final = np.flatnonzero(d <= shortest + tie_tolerance)
+    final = np.flatnonzero(d <= shortest + TIE_TOLERANCE)
     solutions = frozenset(zip(candidates.a[final].tolist(), candidates.b[final].tolist()))
     stats = SearchStats(
         pairs_total=int(bm.min_path.size),
@@ -261,19 +253,11 @@ def infer_most_similar(
     clock.lap("normalize_ms")
     m = distance_matrix(su, sw)
     clock.lap("distance_ms")
-    bm = compute_bounds(m, wu, ww, band_safe=opts.band_radius is not None)
+    bm = compute_bounds(m, wu, ww, radius=opts.band_radius)
     clock.lap("bounds_ms")
-    cands = find_candidates(bm, tie_tolerance=opts.tie_tolerance)
+    cands = find_candidates(bm)
     clock.lap("candidates_ms")
-    res = find_optimal_solutions(
-        m.entries,
-        wu,
-        ww,
-        cands,
-        bm,
-        tie_tolerance=opts.tie_tolerance,
-        band_radius=opts.band_radius,
-    )
+    res = find_optimal_solutions(m.entries, wu, ww, cands, bm, band_radius=opts.band_radius)
     solutions = res.solutions
     if swapped:
         solutions = frozenset((b, a) for a, b in solutions)
@@ -312,7 +296,7 @@ def brute_force_search(
     clock.lap("distance_ms")
     table = dtw_matrix_full(m.entries, wu, ww, radius=opts.band_radius)
     shortest = float(table.min())
-    ii, jj = np.nonzero(table <= shortest + opts.tie_tolerance)
+    ii, jj = np.nonzero(table <= shortest + TIE_TOLERANCE)
     if swapped:
         solutions = frozenset(zip((jj + 1).tolist(), (ii + 1).tolist()))
         table = table.T
@@ -387,11 +371,10 @@ def top_k_search(
     clock.lap("normalize_ms")
     m = distance_matrix(su, sw)
     clock.lap("distance_ms")
-    bm = compute_bounds(m, wu, ww, band_safe=opts.band_radius is not None)
+    bm = compute_bounds(m, wu, ww, radius=opts.band_radius)
     clock.lap("bounds_ms")
     total = int(bm.min_path.size)
     k_eff = min(int(k), total)
-    tol = opts.tie_tolerance
 
     # The first round ranks the k_eff best placements, which is the answer
     # without exclusion. Where exclusion leaves fewer picks, each later round
@@ -403,15 +386,15 @@ def top_k_search(
     cells = 0
     while True:
         bound = _kth_smallest(bm.max_path, kk)
-        cands = find_candidates(bm, threshold=bound, tie_tolerance=tol)
+        cands = find_candidates(bm, threshold=bound)
         clock.lap("candidates_ms")
-        d, kth, c = _evaluate(m.entries, wu, ww, cands, bm, need, bound, tol, opts.band_radius, d)
+        d, kth, c = _evaluate(m.entries, wu, ww, cands, bm, need, bound, opts.band_radius, d)
         cells += c
         a, b = cands.a[: d.size], cands.b[: d.size]
         ra, rb = (b, a) if swapped else (a, b)
         # Every placement with distance <= kth was evaluated exactly, so
         # ranking this prefix is exact.
-        ranked = np.flatnonzero(d <= kth + tol)
+        ranked = np.flatnonzero(d <= kth + TIE_TOLERANCE)
         ranked = ranked[np.lexsort((rb[ranked], ra[ranked], d[ranked]))]
         chosen = _spread(ranked, a, b, bm.shape, opts.exclusion, k_eff)
         clock.lap("evaluate_ms")

@@ -62,6 +62,16 @@ def naive_upper_bound(m, omega_u, omega_w):
     return out
 
 
+def in_band(p, q, omega_u, omega_w, radius):
+    """Whether 0-based window cell (p, q) lies in the band of the given radius (None: no band).
+
+    The band is |q - p * (omega_w-1)/max(omega_u-1, 1)| <= radius, tested
+    with integers.
+    """
+    d = max(omega_u - 1, 1)
+    return radius is None or abs(q * d - p * (omega_w - 1)) <= radius * d
+
+
 def naive_dtw(m, omega_u, omega_w, start, radius=None):
     """Windowed DTW at one 1-based placement by the rolling-row recurrence.
 
@@ -73,23 +83,18 @@ def naive_dtw(m, omega_u, omega_w, start, radius=None):
     """
     m = np.asarray(m, dtype=float)
     a0, b0 = start[0] - 1, start[1] - 1
-    d = max(omega_u - 1, 1)
-
-    def in_band(p, q):
-        return radius is None or abs(q * d - p * (omega_w - 1)) <= radius * d
-
     inf = math.inf
     prev = [inf] * omega_w
     acc = 0.0
     for q in range(omega_w):
-        if not in_band(0, q):
+        if not in_band(0, q, omega_u, omega_w, radius):
             break
         acc = acc + m[a0, b0 + q]
         prev[q] = acc
     for p in range(1, omega_u):
         cur = [inf] * omega_w
         for q in range(omega_w):
-            if in_band(p, q):
+            if in_band(p, q, omega_u, omega_w, radius):
                 best = prev[q]
                 if q > 0:
                     best = min(best, prev[q - 1], cur[q - 1])

@@ -6,14 +6,15 @@ from dtwsearch import (
     WindowTooLarge,
     compute_bounds,
     dtw_batch,
+    dtw_matrix_full,
     dtw_windowed,
     find_candidates,
     lower_bound_matrix,
     min_pool,
     upper_bound_matrix,
-    upper_bound_matrix_banded,
+    upper_bound_path,
 )
-from oracles import fixed_upper_path, naive_lower_bound, naive_min_pool, naive_upper_bound
+from oracles import fixed_upper_path, in_band, naive_lower_bound, naive_min_pool, naive_upper_bound
 
 WORKED = np.array([[0.0, 2.0], [1.0, 1.0], [3.0, 1.0]])
 
@@ -142,11 +143,52 @@ def test_upper_bound_equals_path_cost(rng):
 def test_banded_upper_bound_is_valid_upper_bound(rng):
     mat = np.abs(rng.normal(size=(14, 12)))
     wu, ww = 6, 4
-    up = upper_bound_matrix_banded(mat, wu, ww)
-    pa, pb = up.shape
-    ii, jj = np.meshgrid(np.arange(pa), np.arange(pb), indexing="ij")
-    banded = dtw_batch(mat, wu, ww, ii.ravel(), jj.ravel(), radius=1)[0].reshape(pa, pb)
-    assert np.all(banded <= up + 1e-9)
+    for radius in (1, 2, 3, 4):
+        up = upper_bound_matrix(mat, wu, ww, radius=radius)
+        pa, pb = up.shape
+        ii, jj = np.meshgrid(np.arange(pa), np.arange(pb), indexing="ij")
+        banded = dtw_batch(mat, wu, ww, ii.ravel(), jj.ravel(), radius=radius)[0].reshape(pa, pb)
+        assert np.all(banded <= up + 1e-9)
+
+
+SHAPES = [(wu, ww) for wu in range(1, 13) for ww in range(1, wu + 1)]
+
+
+@pytest.mark.parametrize("radius", [None, 1, 2, 3, 4, 5, 6])
+def test_upper_bound_path_is_an_in_band_warping_path(radius):
+    for wu, ww in SHAPES:
+        path = upper_bound_path(wu, ww, radius).tolist()
+        assert len(path) == wu
+        assert path[0] == 0 and path[-1] == ww - 1
+        assert all(q - prev in (0, 1) for prev, q in zip(path, path[1:])), (wu, ww, radius, path)
+        assert all(in_band(p, q, wu, ww, radius) for p, q in enumerate(path)), (wu, ww, radius, path)
+
+
+def test_unbanded_upper_bound_path_is_fixed_upper_path():
+    for wu, ww in SHAPES:
+        columns = [b - 1 for _, b in fixed_upper_path(1, 1, wu, ww).steps]
+        assert upper_bound_path(wu, ww).tolist() == columns
+
+
+def test_upper_bound_path_rejects_window_order():
+    with pytest.raises(WindowOrderViolated):
+        upper_bound_path(2, 3)
+
+
+def test_upper_bound_is_path_sum_and_bounds_banded_dtw(rng):
+    for _ in range(40):
+        wu = int(rng.integers(1, 13))
+        ww = int(rng.integers(1, wu + 1))
+        n, m = wu + int(rng.integers(0, 6)), ww + int(rng.integers(0, 6))
+        radius = [None, 1, 2, 3, 4, 5, 6][int(rng.integers(0, 7))]
+        mat = np.abs(rng.normal(size=(n, m)))
+        up = upper_bound_matrix(mat, wu, ww, radius=radius)
+        path = upper_bound_path(wu, ww, radius).tolist()
+        naive = np.array(
+            [[sum(mat[i + p, j + q] for p, q in enumerate(path)) for j in range(m - ww + 1)] for i in range(n - wu + 1)]
+        )
+        assert np.allclose(up, naive, rtol=1e-12, atol=1e-12)
+        assert np.all(dtw_matrix_full(mat, wu, ww, radius=radius) <= up * (1 + 1e-12) + 1e-12)
 
 
 def kept(bm):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from dtwsearch import EmptyFile, NonFiniteValue, RaggedRows, TimeSeries
+from dtwsearch import EmptyFile, NonFiniteValue, RaggedRows, TimeSeries, dtw_matrix_full, upper_bound_matrix
 from dtwsearch.cli import emit_csv, ingest_csv, main
 
 
@@ -76,6 +76,32 @@ def test_search_dump_bounds(tmp_path):
     assert minpath[0].startswith("#") and maxpath[0].startswith("#")
     assert [ln for ln in minpath if not ln.startswith("#")] == ["1.0", "2.0"]
     assert [ln for ln in maxpath if not ln.startswith("#")] == ["1.0", "2.0"]
+
+
+def test_search_dump_bounds_banded(tmp_path):
+    # Windows 6x3 with radius 1: the in-band path (columns 0,1,1,1,1,2)
+    # differs from the unbanded diagonal-then-last-column one.
+    u = np.sin(np.arange(12.0))
+    w = np.cos(np.arange(9.0))
+    a = write(tmp_path / "u.csv", "\n".join(map(repr, u.tolist())) + "\n")
+    b = write(tmp_path / "w.csv", "\n".join(map(repr, w.tolist())) + "\n")
+    out = tmp_path / "res.json"
+    prefix = tmp_path / "bounds"
+    rc = main([
+        "search", "--a", a, "--b", b, "--wa", "6", "--wb", "3", "--band", "1",
+        "--out", str(out), "--dump-bounds", str(prefix),
+    ])
+    assert rc == 0
+    m = np.abs(u[:, None] - w[None, :])
+    maxpath = np.loadtxt(tmp_path / "bounds.maxpath.csv", delimiter=",", comments="#")
+    minpath = np.loadtxt(tmp_path / "bounds.minpath.csv", delimiter=",", comments="#")
+    assert np.array_equal(maxpath, upper_bound_matrix(m, 6, 3, radius=1))
+    assert not np.allclose(maxpath, upper_bound_matrix(m, 6, 3))
+    banded = dtw_matrix_full(m, 6, 3, radius=1)
+    assert np.all(minpath <= banded + 1e-9) and np.all(banded <= maxpath + 1e-9)
+    doc = json.loads(out.read_text())
+    assert doc["band_radius"] == 1
+    assert doc["shortest_dist"] == pytest.approx(banded.min(), abs=1e-12)
 
 
 def test_topk_command(tmp_path):

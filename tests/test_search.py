@@ -3,6 +3,7 @@ import pytest
 
 from dtwsearch import (
     STAGE_FIELDS,
+    InvalidSpec,
     SearchOptions,
     TimeSeries,
     WindowPair,
@@ -343,6 +344,12 @@ def test_top_k_exclusion_equals_greedy_over_full_ranking(rng):
             break
     tk = top_k_search(u, w, wp, 6, SearchOptions(exclusion=excl))
     assert [(m.a, m.b) for m in tk.matches] == accepted
+
+
+@pytest.mark.parametrize("exclusion", [1.5, None, "2", -1])
+def test_exclusion_must_be_a_nonnegative_integer(exclusion):
+    with pytest.raises(InvalidSpec, match="exclusion"):
+        SearchOptions(exclusion=exclusion)
 
 
 def test_result_json_schema():
