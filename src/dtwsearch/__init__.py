@@ -12,6 +12,7 @@ from .core import (
     IntervalOutOfBounds,
     InvalidGamma,
     InvalidSpec,
+    KernelCompileError,
     NonFiniteValue,
     ParseError,
     RaggedRows,

@@ -277,7 +277,7 @@ def run_bench(args: argparse.Namespace) -> int:
 
     header = (
         "method,length,window_a,window_b,gamma,seed,band_radius,"
-        "pairs_total,pairs_after_prune,dtw_evaluations,dp_cells,runtime_ms,"
+        "pairs_total,pairs_after_prune,dtw_evaluations,dp_cells,lb_tightness,peak_grid_bytes,runtime_ms,"
         + ",".join(STAGE_FIELDS)
     )
     lines = [header]
@@ -306,6 +306,8 @@ def run_bench(args: argparse.Namespace) -> int:
                         last.pairs_after_prune,
                         last.dtw_evaluations,
                         last.dp_cells,
+                        last.lb_tightness,
+                        last.peak_grid_bytes,
                         *(statistics.median(getattr(s, f) for s in runs) for f in ("runtime_ms",) + STAGE_FIELDS),
                     )
                 )

@@ -80,6 +80,10 @@ class EmptyFile(ParseError):
     pass
 
 
+class KernelCompileError(DtwSearchError):
+    """The C compiler for the DTW kernel is missing or failed."""
+
+
 def _as_float_grid(values) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim == 1:
@@ -194,6 +198,14 @@ class SearchStats:
     bounds_ms (the min-pool, lower- and upper-bound grids), candidates_ms
     (the prune threshold, filter and sort) and evaluate_ms (exact DTW and
     ranking). A stage an entry point does not run stays 0.0.
+
+    lb_tightness is the lower bound at the winner (the smallest tied
+    optimum, or the rank-1 match of top-k) divided by its DTW: near 1 the
+    prune can keep few placements, near 0 it keeps most (1.0 when both are
+    0, and 0.0 for brute force, which has no bounds). peak_grid_bytes is
+    the size of the grids a search holds: the distance matrix plus the
+    min-pool, lower- and upper-bound grids (for brute force, the distance
+    matrix plus its table of every distance).
     """
 
     pairs_total: int
@@ -206,6 +218,8 @@ class SearchStats:
     bounds_ms: float = 0.0
     candidates_ms: float = 0.0
     evaluate_ms: float = 0.0
+    lb_tightness: float = 0.0
+    peak_grid_bytes: int = 0
 
     def __post_init__(self):
         if not (self.dtw_evaluations <= self.pairs_after_prune <= self.pairs_total):

@@ -1,16 +1,19 @@
 """Exact windowed DTW, its band-constrained variant, and a path oracle.
 
-One kernel serves every evaluation. ``dtw_batch`` runs the recurrence as
-a wavefront over the window's anti-diagonals i + j = k, vectorized across
-placements: each diagonal is one range of rows within each row's column
-range (the whole row, or the slope-adjusted band around the straight line
-between window corners), so its costs come in one gather and its cells in
-three array operations. The pruned search calls it on chunks of
-candidates; given a threshold it also abandons, every few diagonals, each
-placement whose lower bound over the last two diagonals passes it.
-``dtw_windowed`` is the same kernel on one placement, and
-``dtw_matrix_full`` (the brute-force table) is the same kernel on every
-placement, in fixed chunks.
+One kernel serves every evaluation: ``dtw_batch`` calls a small C kernel
+(``_kernel.c``, loaded through ctypes) that runs eight placements in
+lockstep, row by row over each window row's column range (the whole row,
+or the slope-adjusted band around the straight line between window
+corners), with every DP cell one eight-lane vector loop. The pruned search
+calls it on chunks of candidates; given a threshold it also abandons a
+group of placements once each one's smallest value in a row, plus the
+pool minima of the rows below, passes it. ``dtw_windowed`` is the same
+kernel on one placement, and ``dtw_matrix_full`` (the brute-force table)
+is the same kernel on every placement, in fixed chunks.
+
+The kernel is compiled with ``cc`` on first use, not at import, and cached
+in this package's ``__pycache__`` under a hash of its source and flags; a
+missing or failing compiler raises ``KernelCompileError``.
 
 The independent checks share no code with the kernel:
 ``dtw_path_oracle`` literally enumerates every warping path of a tiny
@@ -20,8 +23,15 @@ bitwise against a pure-Python rolling-row recurrence
 """
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import math
+import os
+import shlex
+import subprocess
+import tempfile
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -30,6 +40,7 @@ from .core import (
     IndexOutOfRange,
     InstanceTooLarge,
     InvalidSpec,
+    KernelCompileError,
     WarpingPath,
     WindowTooLarge,
 )
@@ -38,14 +49,16 @@ from .metrics import _entries
 _ORACLE_MAX_WINDOW = 8
 
 
-def _check_window(arr: np.ndarray, omega_u: int, omega_w: int, a0: int, b0: int):
+def _check_window(arr: np.ndarray, omega_u: int, omega_w: int, a0, b0):
+    """Raise unless the window has positive sides and fits at every 0-based start (a0, b0)."""
     n, cols = arr.shape
     if omega_u < 1 or omega_w < 1:
         raise InvalidSpec(f"window lengths must be positive, got ({omega_u},{omega_w})")
-    if a0 < 0 or b0 < 0 or a0 + omega_u > n or b0 + omega_w > cols:
+    a0, b0 = np.asarray(a0), np.asarray(b0)
+    if a0.min() < 0 or b0.min() < 0 or a0.max() + omega_u > n or b0.max() + omega_w > cols:
         raise IndexOutOfRange(
-            f"window ({omega_u},{omega_w}) at 1-based start ({a0 + 1},{b0 + 1}) "
-            f"does not fit matrix of shape {arr.shape}"
+            f"window ({omega_u},{omega_w}) at 1-based starts a in [{a0.min() + 1}, {a0.max() + 1}], "
+            f"b in [{b0.min() + 1}, {b0.max() + 1}] does not fit matrix of shape {arr.shape}"
         )
 
 
@@ -58,10 +71,7 @@ def dtw_windowed(m, omega_u: int, omega_w: int, start, radius: int | None = None
     unconstrained one, and equals it once the radius covers the whole
     window. Raises BandInfeasible if no warping path survives the band.
     """
-    arr = _entries(m)
-    a0, b0 = start[0] - 1, start[1] - 1
-    _check_window(arr, omega_u, omega_w, a0, b0)
-    return float(dtw_batch(arr, omega_u, omega_w, [a0], [b0], radius=radius)[0][0])
+    return float(dtw_batch(m, omega_u, omega_w, [start[0] - 1], [start[1] - 1], radius=radius)[0][0])
 
 
 def default_band_radius(omega_u: int, omega_w: int) -> int:
@@ -171,82 +181,98 @@ def window_cells(omega_u: int, omega_w: int, radius: int | None = None) -> int:
     return int((hi - lo + 1).sum())
 
 
-# Placements per wavefront pass, as a budget of cells of the longest
-# diagonal. A pass's arrays are (window rows) x (placements), and each
-# diagonal touches only its own rows of them, so sizing the pass by the
-# longest diagonal bounds what one diagonal touches, whatever the band
-# width: 256 KB per array, under 2 MB for the seven arrays it reads or
-# writes, which fits a 2 MB L2. On 80x60 windows that is 546 placements
-# unbanded and 3,276 with radius 8. On a 2-core Xeon, full 80x60 batches
-# ran at about the same cells per second with budgets 2^14 and 2^15, and
-# slower above: with radius 8 by 21% at 2^16, unbanded by up to 45% at 2^17.
-_PASS_CELLS = 1 << 15
-# Diagonals between abandoning checks. A check costs about as much as a
-# diagonal's DP, and the two-diagonal bound never falls from one diagonal
-# to the next, so a later check only costs the cells in between. On
-# search-easy, checking every diagonal or every other one ran the kernel
-# slower than every 4th; every 8th was no faster.
-_ABANDON_EVERY = 4
-# Placements per dtw_batch call in dtw_matrix_full. The kernel's passes set
-# the cache footprint, so a chunk only bounds its start-index arrays: it is
-# 30 passes on 80x60 windows, 5 with radius 8. At n=800 brute force ran
-# within 7% of this from chunks of 4,096 to 65,536, banded or not.
+# The kernel's whole build command, less its output and input files.
+# -ffast-math would change how infinities and minima behave, and
+# -march=native would tie the cached library to one CPU.
+_COMPILE = ("cc", "-O3", "-shared", "-fPIC")
+# Where built kernels are kept, one file per hash of source and command.
+_CACHE_DIR = Path(__file__).with_name("__pycache__")
+_SOURCE = Path(__file__).with_name("_kernel.c")
+# Placements per dtw_batch call in dtw_matrix_full; it bounds the memory of
+# their start-index arrays.
 _FULL_CHUNK = 16384
 
 
-def _front(buf: np.ndarray, width: int) -> np.ndarray:
-    """The first rows*width elements of a contiguous buffer, as rows of the given width."""
-    return buf.reshape(-1)[: buf.shape[0] * width].reshape(buf.shape[0], width)
+def _library_path(source: bytes) -> Path:
+    """The cached library built from these source bytes with _COMPILE."""
+    key = hashlib.sha256(source + b"\0" + "\0".join(_COMPILE).encode()).hexdigest()[:16]
+    return _CACHE_DIR / f"_kernel-{key}.so"
 
 
-def _diagonal_rows(lo: np.ndarray, hi: np.ndarray, omega_w: int):
-    """First and last window row of each anti-diagonal k = i + j, as lists.
+def _build(path: Path) -> None:
+    """Compile _SOURCE to path, through a temporary file in the same directory.
 
-    Row i holds columns lo[i] .. hi[i]. Both i + lo[i] and i + hi[i]
-    increase strictly with the row, so the rows a diagonal crosses are one
-    range; it is empty (last < first) where every path steps over it.
+    The finished library is moved into place by one rename, so a process
+    that builds it at the same time never loads a half-written file.
     """
-    rows = np.arange(lo.size)
-    ks = np.arange(lo.size + omega_w - 1)
-    first = np.searchsorted(rows + hi, ks)
-    last = np.searchsorted(rows + lo, ks, side="right") - 1
-    return first.tolist(), last.tolist()
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix=path.stem + "-", suffix=".tmp", dir=path.parent)
+    except OSError as exc:
+        raise KernelCompileError(f"cannot write the DTW kernel to {path.parent}: {exc}") from exc
+    os.close(fd)
+    command = [*_COMPILE, "-o", tmp, str(_SOURCE)]
+    try:
+        try:
+            done = subprocess.run(command, capture_output=True, text=True, check=False)
+        except OSError as exc:
+            raise KernelCompileError(f"building the DTW kernel with `{shlex.join(command)}` failed: {exc}") from exc
+        if done.returncode != 0:
+            raise KernelCompileError(
+                f"building the DTW kernel with `{shlex.join(command)}` exited with {done.returncode}:\n{done.stderr}"
+            )
+        os.chmod(tmp, 0o755)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+@lru_cache(maxsize=None)
+def _kernel():
+    """The compiled kernel function and its lane count, built on first use."""
+    path = _library_path(_SOURCE.read_bytes())
+    if not path.exists():
+        _build(path)
+    lib = ctypes.CDLL(str(path))
+    fn = lib.dtw_lockstep
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    fn.argtypes = [ptr, i64, i64, i64, ptr, ptr, ptr, ptr, i64, ptr, i64, ctypes.c_double, ptr, ptr]
+    fn.restype = i64
+    return fn, ctypes.c_int.in_dll(lib, "dtw_lanes").value
 
 
 def dtw_batch(m, omega_u: int, omega_w: int, a0, b0, *, radius: int | None = None, threshold=None, pool=None):
     """Windowed DTW at many placements at once (0-based start arrays).
 
-    Runs the recurrence as a wavefront over the anti-diagonals k = i + j of
-    the window, vectorized across placements. Cell (i, j) is the minimum of
-    its three predecessors, (i-1, j) and (i, j-1) on diagonal k-1 and
-    (i-1, j-1) on diagonal k-2, plus its cost; cell (0, 0) is its own cost.
-    A value is one minimum and one rounding from its inputs, so it does not
-    depend on the batch it runs in or the order cells are computed in. With
-    a radius only each row's band columns are computed; the others stay
-    +inf. Placements run in passes of a fixed number of cells per diagonal.
-    Returns the distances and the number of DP cells computed.
+    Runs the C kernel in ``_kernel.c``: placements go in groups of eight
+    that run the recurrence in lockstep, row by row over each row's column
+    range. Cell (i, j) is the minimum of its three predecessors (i-1, j),
+    (i-1, j-1) and (i, j-1), plus its cost; cell (0, 0) is its own cost. A
+    value is one minimum and one rounding from its inputs, so it does not
+    depend on the batch or group it runs in. With a radius only each row's
+    band columns are computed; the others stay +inf. Returns the distances
+    and the number of DP cells computed.
 
     With a threshold and the min-pool grid of the matrix (``pool[i, j]``,
     the minimum of row i over columns j .. j+omega_w-1), placements are
-    abandoned early. A step adds 1 or 2 to i + j, so every warping path
-    visits at least one of any two consecutive diagonals, at some cell
-    (i, j). Its cost is at least the accumulated value there plus one cell
+    abandoned early. Every warping path visits every window row, so its
+    cost is at least its smallest accumulated value in row i plus one cell
     of each later row, and each of those costs at least that row's pool
-    minimum. So every few diagonals, a placement whose smallest such sum
-    over diagonals k-1 and k exceeds the threshold has a DTW above it too,
-    and is abandoned. Abandoned placements leave their pass once they are
-    half of it and are returned as +inf; until then they are computed on,
-    so a few of them come back exact. Every finite value is exact. The
-    caller pads the threshold by its tie tolerance.
+    minimum. A group is abandoned once that sum exceeds the threshold for
+    every placement in it; its placements are returned as +inf, while a
+    group that finishes returns all its distances exact. Every finite value
+    is exact. The caller pads the threshold by its tie tolerance.
     """
-    arr = _entries(m)
+    arr = np.ascontiguousarray(_entries(m))
     n, cols = arr.shape
-    a0 = np.asarray(a0, dtype=np.int64)
-    b0 = np.asarray(b0, dtype=np.int64)
+    a0 = np.ascontiguousarray(a0, dtype=np.int64).ravel()
+    b0 = np.ascontiguousarray(b0, dtype=np.int64).ravel()
+    if a0.size != b0.size:
+        raise InvalidSpec(f"start arrays differ in length: {a0.size} and {b0.size}")
     if a0.size == 0:
         return np.empty(0), 0
-    if a0.min() < 0 or b0.min() < 0 or a0.max() + omega_u > n or b0.max() + omega_w > cols:
-        raise IndexOutOfRange("some placements do not fit the distance matrix")
+    _check_window(arr, omega_u, omega_w, a0, b0)
     lo, hi = _resolve_ranges(omega_u, omega_w, radius)
     # Whether the band connects the corners depends on the shape alone: each
     # row's band must start at most one column past the previous row's end.
@@ -254,106 +280,23 @@ def dtw_batch(m, omega_u: int, omega_w: int, a0, b0, *, radius: int | None = Non
         raise BandInfeasible(
             f"radius {radius} band disconnects the corners of a ({omega_u},{omega_w}) window"
         )
-    if threshold is not None and pool is None:
-        raise InvalidSpec("abandoning against a threshold needs the min-pool grid")
-    first, last = _diagonal_rows(lo, hi, omega_w)
-    longest = max(l - f for f, l in zip(first, last)) + 1
-    step = max(1, _PASS_CELLS // longest)
-    flat = arr.ravel()
+    if threshold is None:
+        pool_ptr, pcols, limit = None, 0, math.inf
+    else:
+        if pool is None:
+            raise InvalidSpec("abandoning against a threshold needs the min-pool grid")
+        pool = np.ascontiguousarray(pool, dtype=np.float64)
+        if pool.shape != (n, cols - omega_w + 1):
+            raise InvalidSpec(f"min-pool grid of shape {pool.shape} does not fit matrix {arr.shape}")
+        pool_ptr, pcols, limit = pool.ctypes.data, pool.shape[1], float(threshold)
+    kernel, lanes = _kernel()
     out = np.empty(a0.size)
-    cells = 0
-    for s in range(0, a0.size, step):
-        pa, pb = a0[s : s + step], b0[s : s + step]
-        rest = None if threshold is None else _remaining(pool, pa, pb, omega_u)
-        cells += _wavefront(flat, cols, pa * cols + pb, first, last, longest, rest, threshold, out[s : s + step])
+    work = np.empty((2 * (omega_w + 1) + omega_u) * lanes)
+    cells = kernel(
+        arr.ctypes.data, cols, omega_u, omega_w, lo.ctypes.data, hi.ctypes.data, a0.ctypes.data,
+        b0.ctypes.data, a0.size, pool_ptr, pcols, limit, work.ctypes.data, out.ctypes.data,
+    )
     return out, cells
-
-
-def _remaining(pool: np.ndarray, a0: np.ndarray, b0: np.ndarray, omega_u: int) -> np.ndarray:
-    """rest[i + 1] = the sum of the pool minima of window rows i+1 .. omega_u-1, per placement."""
-    pcols = pool.shape[1]
-    pflat = pool.ravel()
-    pbase = a0 * pcols + b0
-    rest = np.zeros((omega_u + 2, a0.size))
-    for p in range(omega_u - 1, 0, -1):
-        np.add(rest[p + 1], pflat[pbase + p * pcols], out=rest[p])
-    return rest
-
-
-def _lowest(d: np.ndarray, rest: np.ndarray, f: int, l: int, work: np.ndarray) -> np.ndarray:
-    """Per placement, the smallest accumulated value plus rest over rows f .. l of one diagonal."""
-    if l < f:
-        return np.full(d.shape[1], np.inf)
-    t = work[: l - f + 1]
-    np.add(d[f + 1 : l + 2], rest[f + 1 : l + 2], out=t)
-    return t.min(axis=0)
-
-
-def _wavefront(flat, cols, base, first, last, longest, rest, threshold, out) -> int:
-    """One pass of dtw_batch over the placements whose (0, 0) cell is flat[base].
-
-    Writes each distance, or +inf for an abandoned placement, into out and
-    returns the number of DP cells computed.
-    """
-    omega_u = last[-1] + 1  # the last diagonal is the corner cell alone
-    n = base.size
-    inf = np.inf
-    out[:] = inf
-    # Three buffers hold diagonals k-2, k-1 and k by window row, shifted
-    # down by one: buffer row i + 1 is cell (i, k - i), so row 0 stands for
-    # row -1. A diagonal's cells are rows first[k] .. last[k]; the row
-    # below them is inf (set whenever a stale value could be there) and the
-    # rows above them were never written, so edge cells of the window or
-    # band read inf for their missing predecessors.
-    d2, d1, d0 = (np.full((omega_u + 2, n), inf) for _ in range(3))
-    d1[1] = flat[base]
-    # The cost of cell (i, k - i) is flat[k + idx[i]]. Every index is in
-    # range, and mode="clip" lets take write straight into its out array
-    # (the default mode buffers it).
-    idx = base + (np.arange(omega_u) * (cols - 1))[:, None]
-    pos = np.arange(n)
-    costs = np.empty((longest, n))
-    work = np.empty((longest, n))
-    cv = costs
-    cells = n
-    for k in range(1, len(first)):
-        f, l = first[k], last[k]
-        c = cv[: l - f + 1]
-        flat[k:].take(idx[f : l + 1], out=c, mode="clip")
-        new = d0[f + 1 : l + 2]
-        np.minimum(d1[f : l + 1], d1[f + 1 : l + 2], out=new)
-        np.minimum(new, d2[f : l + 1], out=new)
-        np.add(new, c, out=new)
-        if k >= 3 and f > first[k - 3]:
-            d0[f] = inf  # held a cell of diagonal k-3
-        cells += (l - f + 1) * n
-        d2, d1, d0 = d1, d0, d2
-        if threshold is None or k % _ABANDON_EVERY:
-            continue
-        wv = _front(work, n)
-        lower = np.minimum(_lowest(d1, rest, f, l, wv), _lowest(d2, rest, first[k - 1], last[k - 1], wv))
-        live = lower <= threshold
-        count = np.count_nonzero(live)
-        if count == 0:
-            return cells
-        if 2 * count <= n:
-            # Drop the abandoned placements once they are half the pass or
-            # more; until then they are computed on, exactly. The two live
-            # diagonals go to the front of the free buffer and of the older
-            # one; rows below f are not read again.
-            keep = np.flatnonzero(live)
-            n = keep.size
-            nd1 = _front(d0, n)
-            np.take(d1[f:], keep, axis=1, out=nd1[f:], mode="clip")
-            nd2 = _front(d1, n)
-            np.take(d2[f:], keep, axis=1, out=nd2[f:], mode="clip")
-            d0 = _front(d2, n)
-            d0[f:] = inf
-            d1, d2 = nd1, nd2
-            idx, rest, pos = idx[:, keep], rest[:, keep], pos[keep]
-            cv = _front(costs, n)
-    out[pos] = d1[omega_u]
-    return cells
 
 
 def dtw_matrix_full(m, omega_u: int, omega_w: int, *, radius: int | None = None) -> np.ndarray:

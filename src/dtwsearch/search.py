@@ -11,9 +11,9 @@ never undershoots it, the result provably equals the brute-force answer,
 tie-set included.
 
 One evaluation loop serves both: candidates go in growing chunks through
-the vectorized batch kernel, which abandons a placement once the smallest
-accumulated value on two consecutive anti-diagonals, plus the pool minima
-of the rows below it, exceeds the threshold. That sum is a lower bound on
+the batch kernel, which abandons a group of placements once, for each of
+them, the smallest accumulated value in a window row plus the pool minima
+of the rows below it exceeds the threshold. That sum is a lower bound on
 the placement's DTW, so an abandoned placement cannot be optimal (or among
 the k best), and every placement that can is computed exactly. Every
 threshold comparison is padded by the tie tolerance, so a placement tied
@@ -142,6 +142,16 @@ def find_candidates(bm: BoundMatrices, *, threshold: float | None = None) -> Can
     return Candidates(a=ii[order] + 1, b=jj[order] + 1, lower_bounds=lbs[order])
 
 
+def _grid_bytes(m, bm: BoundMatrices) -> int:
+    """Bytes of the distance matrix and the three bound grids."""
+    return sum(g.nbytes for g in (np.asarray(m), bm.min_pool, bm.min_path, bm.max_path))
+
+
+def _tightness(bm: BoundMatrices, a: int, b: int, distance: float) -> float:
+    """The lower bound at 1-based placement (a, b) over its DTW distance (1.0 when that is 0)."""
+    return float(bm.min_path[a - 1, b - 1]) / distance if distance > 0 else 1.0
+
+
 def _evaluate(m, omega_u, omega_w, cands: Candidates, bm: BoundMatrices, k, bound, radius, d=None):
     """Exact DTW of candidates in lower-bound order, under a moving threshold.
 
@@ -214,6 +224,8 @@ def find_optimal_solutions(
         dtw_evaluations=d.size,
         runtime_ms=(time.perf_counter() - t0) * 1e3,
         dp_cells=cells,
+        lb_tightness=_tightness(bm, *min(solutions), shortest),
+        peak_grid_bytes=_grid_bytes(m, bm),
     )
     return SearchResult(
         solutions=solutions,
@@ -309,6 +321,7 @@ def brute_force_search(
         pairs_after_prune=total,
         dtw_evaluations=total,
         dp_cells=total * window_cells(wu, ww, opts.band_radius),
+        peak_grid_bytes=m.entries.nbytes + table.nbytes,
         **clock.fields(),
     )
     result = SearchResult(
@@ -411,11 +424,14 @@ def top_k_search(
         for r, i in enumerate(chosen.tolist())
     )
     clock.lap("evaluate_ms")
+    top = int(chosen[0])  # the first ranked placement is always chosen
     stats = SearchStats(
         pairs_total=total,
         pairs_after_prune=len(cands),
         dtw_evaluations=d.size,
         dp_cells=cells,
+        lb_tightness=_tightness(bm, int(a[top]), int(b[top]), float(d[top])),
+        peak_grid_bytes=_grid_bytes(m.entries, bm),
         **clock.fields(),
     )
     return TopKResult(matches=matches, truncated=len(matches) < k, stats=stats)
@@ -436,6 +452,8 @@ def result_to_json_dict(result: SearchResult) -> dict:
             "pairs_after_prune": result.stats.pairs_after_prune,
             "dtw_evaluations": result.stats.dtw_evaluations,
             "dp_cells": result.stats.dp_cells,
+            "lb_tightness": result.stats.lb_tightness,
+            "peak_grid_bytes": result.stats.peak_grid_bytes,
             "runtime_ms": result.stats.runtime_ms,
             **{name: getattr(result.stats, name) for name in STAGE_FIELDS},
         },

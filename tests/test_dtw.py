@@ -6,6 +6,7 @@ from dtwsearch import (
     BandInfeasible,
     IndexOutOfRange,
     InstanceTooLarge,
+    KernelCompileError,
     band_column_ranges,
     default_band_radius,
     dtw_batch,
@@ -14,7 +15,8 @@ from dtwsearch import (
     dtw_windowed,
 )
 from dtwsearch.bounds import min_pool
-from dtwsearch.dtw import _FULL_CHUNK, _PASS_CELLS, window_cells
+from dtwsearch import dtw
+from dtwsearch.dtw import _FULL_CHUNK, _kernel, window_cells
 from oracles import naive_dtw
 
 WORKED = np.array([[0.0, 2.0], [1.0, 1.0], [3.0, 1.0]])
@@ -197,10 +199,12 @@ def _kernel_case(rng):
 def test_kernel_abandoning_property(rng):
     """Finite outputs equal the pure-Python recurrence bitwise; +inf ones exceed the threshold.
 
-    Each batch is larger than one wavefront pass, so placements abandoned,
-    compacted and computed to the end share passes, and the thresholds are
-    true distances, so some placements sit exactly at the threshold.
+    Each batch ends in a partial group of the kernel's lanes, so groups
+    abandoned and groups computed to the end share batches with a group
+    that has padding lanes, and the thresholds are true distances, so some
+    placements sit exactly at the threshold.
     """
+    lanes = _kernel()[1]
     checked = abandoned = 0
     while checked < 80:
         mat, wu, ww, radius = _kernel_case(rng)
@@ -211,7 +215,7 @@ def test_kernel_abandoning_property(rng):
         checked += 1
         pa, pb = mat.shape[0] - wu + 1, mat.shape[1] - ww + 1
         truth = np.array([[naive_dtw(mat, wu, ww, (a + 1, b + 1), radius) for b in range(pb)] for a in range(pa)])
-        size = _PASS_CELLS + int(rng.integers(1, 2000))
+        size = lanes * int(rng.integers(1, 200)) + int(rng.integers(1, lanes))
         a0, b0 = rng.integers(0, pa, size=size), rng.integers(0, pb, size=size)
         full, cells = dtw_batch(mat, wu, ww, a0, b0, radius=radius)
         assert np.array_equal(full, truth[a0, b0])
@@ -223,3 +227,92 @@ def test_kernel_abandoning_property(rng):
         assert np.all(truth[a0, b0][~done] > threshold - TIE_TOLERANCE)
         abandoned += int((~done).sum())
     assert abandoned > 0
+
+
+def test_one_live_lane_keeps_its_group_exact():
+    # Placement (0, 0) costs 0 and every other one at least 9, so with a
+    # threshold of 0.5 the live placement keeps its group running in each
+    # lane it is put in, and a group without it is abandoned.
+    mat = np.ones((20, 20))
+    mat[:9, :3] = 0.0
+    wu, ww = 9, 3
+    lanes = _kernel()[1]
+    pool = min_pool(mat, ww)
+    others_a = np.arange(1, lanes) % 8 + 1
+    others_b = np.arange(1, lanes) + 2
+    full = window_cells(wu, ww)
+    for lane in range(lanes):
+        a0 = np.concatenate((np.insert(others_a, lane, 0), others_a[:3] + 1))
+        b0 = np.concatenate((np.insert(others_b, lane, 0), others_b[:3] + 5))
+        truth = np.array([naive_dtw(mat, wu, ww, (a + 1, b + 1)) for a, b in zip(a0, b0)])
+        out, cells = dtw_batch(mat, wu, ww, a0, b0, threshold=0.5, pool=pool)
+        assert out[lane] == 0.0
+        assert np.array_equal(out[:lanes], truth[:lanes])
+        assert np.all(np.isinf(out[lanes:])) and np.all(truth[lanes:] > 0.5)
+        assert lanes * full <= cells < a0.size * full
+
+
+def test_band_wider_than_one_column_per_row_matches_scalar(rng):
+    # With omega_u < omega_w the band's last column jumps by several columns
+    # from one row to the next, onto cells the previous group wrote.
+    feasible = 0
+    for wu, ww in [(3, 12), (4, 11)]:
+        mat = rng.normal(size=(wu + 6, ww + 7)) ** 2
+        pa, pb = mat.shape[0] - wu + 1, mat.shape[1] - ww + 1
+        a0, b0 = rng.integers(0, pa, size=29), rng.integers(0, pb, size=29)
+        for radius in (1, 2, 3):
+            truth = np.array([naive_dtw(mat, wu, ww, (a + 1, b + 1), radius) for a, b in zip(a0, b0)])
+            if np.all(np.isinf(truth)):
+                with pytest.raises(BandInfeasible):
+                    dtw_batch(mat, wu, ww, a0, b0, radius=radius)
+                continue
+            feasible += 1
+            out, cells = dtw_batch(mat, wu, ww, a0, b0, radius=radius)
+            assert np.array_equal(out, truth)
+            assert cells == a0.size * window_cells(wu, ww, radius)
+            threshold = float(np.median(truth))
+            out, _ = dtw_batch(mat, wu, ww, a0, b0, radius=radius, threshold=threshold, pool=min_pool(mat, ww))
+            done = np.isfinite(out)
+            assert np.array_equal(out[done], truth[done]) and np.all(truth[~done] > threshold)
+    assert feasible >= 3
+
+
+@pytest.fixture
+def fresh_kernel():
+    """Forget the loaded kernel before and after the test, so each loads its own."""
+    _kernel.cache_clear()
+    yield
+    _kernel.cache_clear()
+
+
+def test_missing_compiler_raises_and_names_the_command(monkeypatch, tmp_path, fresh_kernel):
+    monkeypatch.setattr(dtw, "_COMPILE", ("no-such-cc-for-dtwsearch", "-O3", "-shared", "-fPIC"))
+    monkeypatch.setattr(dtw, "_CACHE_DIR", tmp_path)
+    with pytest.raises(KernelCompileError, match="no-such-cc-for-dtwsearch -O3 -shared -fPIC"):
+        dtw_batch(WORKED, 2, 2, [0], [0])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cached_kernel_is_loaded_without_compiling(monkeypatch, tmp_path, fresh_kernel):
+    monkeypatch.setattr(dtw, "_CACHE_DIR", tmp_path)
+    assert dtw_batch(WORKED, 2, 2, [0], [0])[0][0] == 1.0
+    built = list(tmp_path.iterdir())
+    assert [p.suffix for p in built] == [".so"]
+    _kernel.cache_clear()
+
+    def no_compiler(*args, **kwargs):
+        raise AssertionError("the cached kernel was compiled again")
+
+    monkeypatch.setattr(dtw.subprocess, "run", no_compiler)
+    assert dtw_batch(WORKED, 2, 2, [1], [0])[0][0] == 2.0
+    assert list(tmp_path.iterdir()) == built
+
+
+def test_kernel_file_name_keys_source_and_command(monkeypatch):
+    source = dtw._SOURCE.read_bytes()
+    path = dtw._library_path(source)
+    assert path.parent == dtw._CACHE_DIR
+    assert dtw._library_path(source) == path
+    assert dtw._library_path(source + b"\n") != path
+    monkeypatch.setattr(dtw, "_COMPILE", dtw._COMPILE + ("-g",))
+    assert dtw._library_path(source) != path

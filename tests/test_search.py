@@ -363,6 +363,7 @@ def test_result_json_schema():
     assert set(doc["stats"]) == {
         "pairs_total", "pairs_after_prune", "dtw_evaluations", "dp_cells", "runtime_ms",
         "normalize_ms", "distance_ms", "bounds_ms", "candidates_ms", "evaluate_ms",
+        "lb_tightness", "peak_grid_bytes",
     }
     assert doc["stats"]["dp_cells"] == 4  # one 2x2 placement evaluated
     tk = top_k_search(U3, W2, WindowPair(2, 2), 2)
