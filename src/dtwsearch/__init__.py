@@ -51,7 +51,6 @@ from .search import (
     TopKResult,
     brute_force_search,
     find_candidates,
-    find_optimal_solutions,
     infer_most_similar,
     result_to_json_dict,
     top_k_search,

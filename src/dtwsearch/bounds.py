@@ -4,8 +4,9 @@ The lower bound sums, for each row the longer window passes through, the
 minimum pointwise distance within the shorter window's column span. The
 upper bound is the cost of one valid warping path inside the band the
 search evaluates (upper_bound_path), so it can never undercut the DTW the
-search computes. Any placement whose lower bound exceeds the global
-minimum of the upper-bound matrix provably cannot be optimal.
+search computes. Any placement whose lower bound exceeds the k-th smallest
+entry of the upper-bound matrix provably cannot be among the k best; at
+k=1 that entry is the global minimum.
 
 Both bound grids are built from cumulative sums, not by rescanning omega
 cells per entry: the lower bound in O(nm), the upper bound in O(nm) per
@@ -30,14 +31,13 @@ class BoundMatrices:
 
     min_pool:  n x (m - omega_w + 1), row-window minima of the distance matrix.
     min_path:  lower-bound grid over all placements.
-    max_path:  upper-bound grid (cost of one in-band path) over all placements.
-    min_of_max_path: global minimum of max_path, the prune threshold.
+    max_path:  upper-bound grid (cost of one in-band path) over all placements;
+               its k-th smallest entry is the first prune threshold of top-k.
     """
 
     min_pool: np.ndarray
     min_path: np.ndarray
     max_path: np.ndarray
-    min_of_max_path: float
 
     def __post_init__(self):
         for name in ("min_pool", "min_path", "max_path"):
@@ -179,11 +179,8 @@ def compute_bounds(m, omega_u: int, omega_w: int, *, radius: int | None = None) 
     arr = _entries(m)
     _check_window_order(arr, omega_u, omega_w)
     pool = min_pool(arr, omega_w)
-    lower = lower_bound_matrix(pool, omega_u)
-    upper = upper_bound_matrix(arr, omega_u, omega_w, radius)
     return BoundMatrices(
         min_pool=pool,
-        min_path=lower,
-        max_path=upper,
-        min_of_max_path=float(upper.min()),
+        min_path=lower_bound_matrix(pool, omega_u),
+        max_path=upper_bound_matrix(arr, omega_u, omega_w, radius),
     )

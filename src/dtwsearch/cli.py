@@ -2,9 +2,10 @@
 and the benchmark sweep harness. The only module with side effects.
 
 Commands write their artifacts and exit 0, or print a machine-readable
-error JSON to stderr and exit nonzero. All randomness flows from the
-user-visible --seed values, so identical invocations produce identical
-artifacts (runtime fields aside).
+error JSON to stderr and exit nonzero. Diagnostics go through the
+``dtwsearch`` logger, which main prints to stderr. All randomness flows
+from the user-visible --seed values, so identical invocations produce
+identical artifacts (runtime fields aside).
 """
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import argparse
 import dataclasses
 import itertools
 import json
+import logging
 import statistics
 import sys
 from pathlib import Path
@@ -32,9 +34,9 @@ from .core import (
 from .bounds import compute_bounds
 from .dtw import default_band_radius
 from .evaluation import lead_difference, score_intervals
-from .metrics import distance_matrix
 from .search import (
     SearchOptions,
+    _start,
     brute_force_search,
     infer_most_similar,
     result_to_json_dict,
@@ -44,6 +46,8 @@ from .search import (
 from .simgen import GroundTruth, SimulationSpec, generate_pair
 
 BENCH_METHODS = ("bruteforce", "sakoe_chiba", "sp", "sp_sakoe_chiba")
+
+log = logging.getLogger("dtwsearch")
 
 
 def ingest_csv(path) -> TimeSeries:
@@ -120,10 +124,7 @@ def run_search(args: argparse.Namespace) -> int:
 
 
 def _dump_bounds(u, w, wp, args: argparse.Namespace, prefix):
-    from .search import _prepare  # shares the exact swap/normalize pipeline
-
-    su, sw, wu, ww, swapped = _prepare(u, w, wp, _search_options(args))
-    m = distance_matrix(su, sw)
+    _, m, wu, ww, swapped = _start(u, w, wp, _search_options(args))  # the search's own prologue
     bm = compute_bounds(m, wu, ww, radius=args.band)
     note = "series were swapped (omega_b > omega_a): rows index --b, cols index --a" if swapped else "rows index --a, cols index --b"
     for name, grid in (("minpath", bm.min_path), ("maxpath", bm.max_path)):
@@ -143,7 +144,7 @@ def run_topk(args: argparse.Namespace) -> int:
     wp = WindowPair(omega_u=args.wa, omega_w=args.wb)
     result = top_k_search(u, w, wp, args.k, _search_options(args, exclusion=args.exclusion))
     if result.truncated:
-        print(f"warning: fewer than k={args.k} matches exist; returning {len(result.matches)}", file=sys.stderr)
+        log.warning("warning: fewer than k=%d matches exist; returning %d", args.k, len(result.matches))
     _write_json(topk_to_json_list(result), args.out)
     return 0
 
@@ -414,6 +415,7 @@ _RUNNERS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    logging.basicConfig(format="%(message)s")  # diagnostics go to stderr as bare lines
     try:
         _check_paths(args)
         return _RUNNERS[args.command](args)

@@ -193,7 +193,7 @@ def test_upper_bound_is_path_sum_and_bounds_banded_dtw(rng):
 
 def kept(bm):
     """1-based placements that survive the prune."""
-    cands = find_candidates(bm)
+    cands = find_candidates(bm, threshold=bm.max_path.min())
     return set(zip(cands.a.tolist(), cands.b.tolist()))
 
 

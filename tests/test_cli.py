@@ -1,4 +1,7 @@
 import json
+import logging
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -114,6 +117,21 @@ def test_topk_command(tmp_path):
         {"rank": 1, "a": 1, "b": 1, "distance": 1.0},
         {"rank": 2, "a": 2, "b": 1, "distance": 2.0},
     ]
+
+
+def test_topk_more_than_placements_warns(tmp_path, caplog):
+    a, b = worked_example_files(tmp_path)
+    out = tmp_path / "topk.json"
+    argv = ["topk", "--a", a, "--b", b, "--wa", "2", "--wb", "2", "--k", "5", "--out", str(out)]
+    with caplog.at_level(logging.WARNING, logger="dtwsearch"):
+        assert main(argv) == 0
+    warning = "warning: fewer than k=5 matches exist; returning 2"
+    assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [("dtwsearch", "WARNING", warning)]
+    assert len(json.loads(out.read_text())) == 2
+    # A fresh process prints the same line on stderr.
+    proc = subprocess.run([sys.executable, "-m", "dtwsearch", *argv], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stderr == warning + "\n"
 
 
 def test_simulate_then_evaluate_round_trip(tmp_path):
