@@ -26,7 +26,7 @@ from .core import (
     WindowTooLarge,
     validate_query,
 )
-from .metrics import DistanceMatrix, distance_matrix, point_distance, z_normalize
+from .metrics import DistanceMatrix, distance_matrix, z_normalize
 from .bounds import (
     BoundMatrices,
     compute_bounds,

@@ -9,20 +9,19 @@ entry of the upper-bound matrix provably cannot be among the k best; at
 k=1 that entry is the global minimum.
 
 Both bound grids are built from cumulative sums, not by rescanning omega
-cells per entry: the lower bound in O(nm), the upper bound in O(nm) per
-straight segment of its path. That is what makes pruning cheaper than the
-search it replaces.
+cells per entry: the lower bound in O(nm log omega_w) with its min-pool
+grid, the upper bound in O(nm) per straight segment of its path. That is
+what makes pruning cheaper than the search it replaces.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import minimum_filter1d
 
 from .core import TIE_TOLERANCE, WindowOrderViolated, WindowTooLarge
 from .dtw import _resolve_ranges
-from .metrics import _entries
+from .metrics import _BLOCK_ROWS, _entries
 
 
 @dataclass(frozen=True)
@@ -61,19 +60,23 @@ class BoundMatrices:
 def min_pool(m, omega_w: int) -> np.ndarray:
     """Sliding minima over each row: out[i, j] = min(M[i, j:j+omega_w]).
 
-    Runs in O(nm) total via a 1-d minimum filter, independent of omega_w.
+    Doubling window widths up to the largest power of two p <= omega_w, then
+    two overlapping p-windows offset by omega_w - p: floor(log2 omega_w) + 1
+    passes of np.minimum over blocks of rows; only the result is grid-sized.
     """
     arr = _entries(m)
     n, cols = arr.shape
     if not 1 <= omega_w <= cols:
         raise WindowTooLarge(f"omega_w={omega_w} does not fit matrix with {cols} columns")
-    if omega_w == 1:
-        return arr.copy()
-    # The centered filter output at column j + omega_w//2 covers
-    # [j, j+omega_w); slicing keeps exactly the uncontaminated windows.
-    filtered = minimum_filter1d(arr, size=omega_w, axis=1, mode="nearest")
-    lo = omega_w // 2
-    return filtered[:, lo : lo + (cols - omega_w + 1)].copy()
+    keep = cols - omega_w + 1
+    out = np.empty((n, keep))
+    for lo in range(0, n, _BLOCK_ROWS):
+        rows, width = arr[lo : lo + _BLOCK_ROWS], 1
+        while 2 * width <= omega_w:
+            rows = np.minimum(rows[:, :-width], rows[:, width:])
+            width *= 2
+        np.minimum(rows[:, :keep], rows[:, omega_w - width :], out=out[lo : lo + _BLOCK_ROWS])
+    return out
 
 
 def lower_bound_matrix(pool: np.ndarray, omega_u: int) -> np.ndarray:

@@ -1,12 +1,13 @@
-"""Pointwise Euclidean distance and the full pairwise distance matrix."""
+"""The pairwise Euclidean distance matrix and z-normalization, in numpy alone."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from .core import DimensionMismatch, NonFiniteValue, SeriesTooShort, TimeSeries
+from .core import DimensionMismatch, SeriesTooShort, TimeSeries
+
+_BLOCK_ROWS = 16  # rows per pass: a block and its temporaries stay in cache
 
 
 @dataclass(frozen=True)
@@ -21,7 +22,8 @@ class DistanceMatrix:
         arr = np.asarray(self.entries, dtype=np.float64)
         if arr.shape != (self.n, self.m):
             raise DimensionMismatch(f"entries shape {arr.shape} does not match ({self.n},{self.m})")
-        arr = arr.copy()
+        if arr.flags.writeable or not arr.flags.owndata:
+            arr = arr.copy()  # the caller may still write this buffer
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
@@ -33,25 +35,20 @@ def _entries(m) -> np.ndarray:
     return np.asarray(m, dtype=np.float64)
 
 
-def point_distance(u, w) -> float:
-    """Euclidean distance between two points of the feature space.
-
-    Symmetric, nonnegative, zero exactly when u == w elementwise.
-    """
-    u = np.atleast_1d(np.asarray(u, dtype=np.float64))
-    w = np.atleast_1d(np.asarray(w, dtype=np.float64))
-    if u.shape != w.shape:
-        raise DimensionMismatch(f"point dims differ: {u.shape} vs {w.shape}")
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(w))):
-        raise NonFiniteValue("points must be finite")
-    return float(np.sqrt(np.sum((u - w) ** 2)))
-
-
 def distance_matrix(u: TimeSeries, w: TimeSeries) -> DistanceMatrix:
-    """All pairwise point distances: entries[i, j] = dist(u_i, w_j)."""
+    """entries[i, j] = dist(u_i, w_j): squares summed in dimension order from 0.0, then one root."""
     if u.dims != w.dims:
         raise DimensionMismatch(f"series dims differ: {u.dims} vs {w.dims}")
-    entries = cdist(u.values, w.values, metric="euclidean")
+    cols = np.ascontiguousarray(w.values.T)
+    entries = np.empty((u.length, w.length))
+    for lo in range(0, u.length, _BLOCK_ROWS):
+        rows = entries[lo : lo + _BLOCK_ROWS]
+        rows.fill(0.0)
+        for k in range(u.dims):
+            diff = u.values[lo : lo + _BLOCK_ROWS, k, None] - cols[k]
+            rows += np.square(diff, out=diff)
+        np.sqrt(rows, out=rows)
+    entries.setflags(write=False)
     return DistanceMatrix(entries=entries, n=u.length, m=w.length)
 
 

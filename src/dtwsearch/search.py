@@ -136,7 +136,7 @@ def find_candidates(bm: BoundMatrices, *, threshold: float) -> Candidates:
     mask = bm.min_path <= threshold + TIE_TOLERANCE
     ii, jj = np.nonzero(mask)
     lbs = bm.min_path[ii, jj]
-    order = np.lexsort((jj, ii, lbs))
+    order = np.argsort(lbs, kind="stable")  # nonzero lists (a, b) in row-major order
     return Candidates(a=ii[order] + 1, b=jj[order] + 1, lower_bounds=lbs[order])
 
 

@@ -7,7 +7,21 @@ import math
 
 import numpy as np
 
-from dtwsearch import WarpingPath, WindowOrderViolated
+from dtwsearch import DimensionMismatch, NonFiniteValue, WarpingPath, WindowOrderViolated
+
+
+def point_distance(u, w) -> float:
+    """Euclidean distance between two points of the feature space.
+
+    Symmetric, nonnegative, zero exactly when u == w elementwise.
+    """
+    u = np.atleast_1d(np.asarray(u, dtype=np.float64))
+    w = np.atleast_1d(np.asarray(w, dtype=np.float64))
+    if u.shape != w.shape:
+        raise DimensionMismatch(f"point dims differ: {u.shape} vs {w.shape}")
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(w))):
+        raise NonFiniteValue("points must be finite")
+    return float(np.sqrt(np.sum((u - w) ** 2)))
 
 
 def naive_distance_matrix(u_vals, w_vals):

@@ -34,6 +34,17 @@ def test_min_pool_full_width():
     assert full.ravel().tolist() == [0.0, 1.0, 1.0]
 
 
+@pytest.mark.parametrize("omega_w", [1, 2, 3, 4, 7, 8, 9, 16, 17, 37])
+def test_min_pool_matches_naive_at_doubling_edges(rng, omega_w):
+    # Powers of two and their neighbours, up to the full width (37 columns),
+    # are where the doubling passes and the last overlapping pass meet;
+    # 35 rows end in a partial block of rows.
+    mat = np.abs(rng.normal(size=(35, 37)))
+    pool = min_pool(mat, omega_w)
+    assert np.array_equal(pool, naive_min_pool(mat, omega_w))
+    assert not np.shares_memory(pool, mat)
+
+
 def test_min_pool_rejects_oversized_window():
     with pytest.raises(WindowTooLarge):
         min_pool(WORKED, 3)

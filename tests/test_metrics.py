@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,15 +10,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import dtwsearch
 from dtwsearch import (
     DimensionMismatch,
+    DistanceMatrix,
     SeriesTooShort,
     TimeSeries,
     distance_matrix,
-    point_distance,
     z_normalize,
 )
-from oracles import naive_distance_matrix
+from oracles import naive_distance_matrix, point_distance
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 
@@ -58,6 +63,49 @@ def test_distance_matrix_matches_naive_and_is_symmetric(uv, wcol):
     m_wu = distance_matrix(w, u).entries
     assert np.allclose(m_uw, naive_distance_matrix(uv, wv), atol=1e-12)
     assert np.array_equal(m_uw, m_wu.T)
+
+
+@pytest.mark.parametrize("dims", [1, 2, 3, 5])
+@pytest.mark.parametrize("n, m", [(1, 1), (17, 3), (65, 40), (130, 97)])
+def test_distance_matrix_is_the_sum_of_squares_bitwise(dims, n, m):
+    # Squares summed in dimension order from 0.0, then one square root,
+    # one row at a time; row counts straddle the blocks the matrix is built in.
+    rng = np.random.default_rng(dims * 1000 + n)
+    uv = rng.normal(scale=10.0, size=(n, dims))
+    wv = rng.normal(scale=10.0, size=(m, dims))
+    expected = np.empty((n, m))
+    for i in range(n):
+        acc = np.zeros(m)
+        for k in range(dims):
+            diff = uv[i, k] - wv[:, k]
+            acc = acc + diff * diff
+        expected[i] = np.sqrt(acc)
+    got = distance_matrix(TimeSeries(values=uv), TimeSeries(values=wv)).entries
+    assert np.array_equal(got, expected)
+    assert not got.flags.writeable
+
+
+def test_distance_matrix_copies_a_borrowed_grid():
+    grid = np.arange(6.0).reshape(2, 3)
+    m = DistanceMatrix(entries=grid, n=2, m=3)
+    grid[0, 0] = 99.0
+    assert m.entries[0, 0] == 0.0 and not m.entries.flags.writeable and grid.flags.writeable
+    view = grid[:, :2]
+    view.setflags(write=False)
+    assert not np.shares_memory(DistanceMatrix(entries=view, n=2, m=2).entries, grid)
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(dtwsearch.__file__).resolve().parents[1])
+    code = "import sys, dtwsearch; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 @given(st.lists(st.tuples(finite, finite), min_size=3, max_size=3))
