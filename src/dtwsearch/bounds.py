@@ -8,10 +8,10 @@ search computes. Any placement whose lower bound exceeds the k-th smallest
 entry of the upper-bound matrix provably cannot be among the k best; at
 k=1 that entry is the global minimum.
 
-Both bound grids are built from cumulative sums, not by rescanning omega
-cells per entry: the lower bound in O(nm log omega_w) with its min-pool
-grid, the upper bound in O(nm) per straight segment of its path. That is
-what makes pruning cheaper than the search it replaces.
+Both grids sum their windows with one routine (_add_window_sums), not by
+rescanning omega cells per entry: O(nm) per straight segment of a path,
+plus O(nm log omega_w) for the lower bound's min-pool grid. That is what
+makes pruning cheaper than the search it replaces.
 """
 from __future__ import annotations
 
@@ -47,10 +47,11 @@ class BoundMatrices:
             raise WindowTooLarge(
                 f"bound grids disagree in shape: {self.min_path.shape} vs {self.max_path.shape}"
             )
-        # Sandwich must hold up to summation rounding.
-        slack = TIE_TOLERANCE + 1e-12 * np.abs(self.max_path)
-        if not np.all(self.min_path <= self.max_path + slack):
-            raise WindowOrderViolated("lower bound exceeds upper bound; window order was violated upstream")
+        # Sandwich must hold up to summation rounding; in row blocks, so no grid-sized temporary.
+        for lo in range(0, self.shape[0], _BLOCK_ROWS):
+            low, high = self.min_path[lo : lo + _BLOCK_ROWS], self.max_path[lo : lo + _BLOCK_ROWS]
+            if not np.all(low <= high + (TIE_TOLERANCE + 1e-12 * np.abs(high))):
+                raise WindowOrderViolated("lower bound exceeds upper bound; window order was violated upstream")
 
     @property
     def shape(self):
@@ -79,18 +80,47 @@ def min_pool(m, omega_w: int) -> np.ndarray:
     return out
 
 
+def _add_window_sums(out: np.ndarray, g: np.ndarray, length: int, step: int):
+    """out[i, j] += sum(g[i + t, j + step*t] for t < length): step 0 is a column, 1 a diagonal.
+
+    In blocks of `length` rows, the window from row r is the suffix running
+    sum of its block from r plus the prefix running sum of the next block's
+    first r rows (van Herk 1992; Gil & Werman 1993). No sum has more than
+    `length` terms, so its rounding scales with the window, not the series.
+    """
+    rows, cols = out.shape
+    width = cols + step * (length - 1)
+    # suffix[r, j]: block rows r.. from column j; prefix[s, c]: next block's rows ..s ending at
+    # column c. Entries outside a row's valid columns are never read; zeros keep them finite.
+    suffix, prefix = np.zeros((2, length, width))
+    g_head, suf_head, suf_tail = g[:, : width - step], suffix[:, : width - step], suffix[:, step:]
+    g_tail, pre_head, pre_tail = g[:, step:width], prefix[:, : width - step], prefix[:, step:]
+    for lo in range(0, rows, length):
+        n, nxt = min(length, rows - lo), lo + length
+        suffix[-1] = g[nxt - 1, :width]
+        for r in range(length - 2, -1, -1):
+            np.add(g_head[lo + r], suf_tail[r + 1], out=suf_head[r])
+        out[lo : lo + n] += suffix[:n, :cols]
+        if n > 1:
+            prefix[0] = g[nxt, :width]
+            for s in range(1, n - 1):
+                np.add(pre_head[s - 1], g_tail[nxt + s], out=pre_tail[s])
+            out[lo + 1 : lo + n] += prefix[: n - 1, width - cols :]
+
+
 def lower_bound_matrix(pool: np.ndarray, omega_u: int) -> np.ndarray:
     """Column-wise sliding sums of the min-pool grid.
 
     out[i, j] = sum(pool[i : i+omega_u, j]); equals the admissible lower
-    bound of windowed DTW at placement (i, j). Uses per-column prefix sums.
+    bound of windowed DTW at placement (i, j).
     """
     pool = np.asarray(pool, dtype=np.float64)
     n = pool.shape[0]
     if not 1 <= omega_u <= n:
         raise WindowTooLarge(f"omega_u={omega_u} does not fit grid with {n} rows")
-    cs = np.vstack([np.zeros((1, pool.shape[1])), np.cumsum(pool, axis=0)])
-    return cs[omega_u:] - cs[:-omega_u]
+    out = np.zeros((n - omega_u + 1, pool.shape[1]))
+    _add_window_sums(out, pool, omega_u, 0)
+    return out
 
 
 def _check_window_order(arr: np.ndarray, omega_u: int, omega_w: int):
@@ -134,41 +164,17 @@ def upper_bound_matrix(m, omega_u: int, omega_w: int, radius: int | None = None)
 
     The path is a valid warping path inside the band of the given radius
     (or unbanded), so the value can never be below the windowed DTW under
-    that band. Each straight segment of the path is one difference of
-    shifted prefix-sum grids, along the diagonal or down a column.
+    that band. Each straight segment of the path adds its window sums,
+    along the diagonal or down a column.
     """
     arr = _entries(m)
     _check_window_order(arr, omega_u, omega_w)
-    n, cols = arr.shape
-    pa = n - omega_u + 1
-    pb = cols - omega_w + 1
     path = upper_bound_path(omega_u, omega_w, radius).tolist()
     steps = np.diff(path, prepend=-1)
     starts = np.flatnonzero(np.diff(steps, prepend=-1))
-    segments = list(zip(starts.tolist(), np.diff(starts, append=omega_u).tolist(), steps[starts].tolist()))
-
-    out = np.zeros((pa, pb))
-    for p, length, _ in segments:
-        if length == 1:
-            q = path[p]
-            out += arr[p : p + pa, q : q + pb]
-    # One running-sum grid at a time, so the builder holds at most one n x m
-    # grid beyond its output: sums[i+1, j+step] = M[i, j] + sums[i, j].
-    for step in (1, 0):
-        runs = [(p, length) for p, length, s in segments if length > 1 and s == step]
-        if not runs:
-            continue
-        sums = np.zeros((n + 1, cols + step))
-        if step:
-            for i in range(n):
-                np.add(arr[i], sums[i, :-1], out=sums[i + 1, 1:])
-        else:
-            np.cumsum(arr, axis=0, out=sums[1:])
-        for p, length in runs:
-            q = path[p]
-            e, f = p + length, q + step * length
-            out += sums[e : e + pa, f : f + pb] - sums[p : p + pa, q : q + pb]
-        del sums
+    out = np.zeros((arr.shape[0] - omega_u + 1, arr.shape[1] - omega_w + 1))
+    for p, length, step in zip(starts.tolist(), np.diff(starts, append=omega_u).tolist(), steps[starts].tolist()):
+        _add_window_sums(out, arr[p:, path[p] :], length, step)
     return out
 
 

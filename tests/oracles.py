@@ -76,6 +76,17 @@ def naive_upper_bound(m, omega_u, omega_w):
     return out
 
 
+def fsum_path_sums(g, path, shape):
+    """out[i, j] = the correctly rounded sum (math.fsum) of g[i + p, j + path[p]] over p."""
+    g = np.asarray(g, dtype=float)
+    cells = np.stack([g[p : p + shape[0], q : q + shape[1]] for p, q in enumerate(path)])
+    out = np.empty(shape)
+    for i in range(shape[0]):
+        for j in range(shape[1]):
+            out[i, j] = math.fsum(cells[:, i, j])
+    return out
+
+
 def in_band(p, q, omega_u, omega_w, radius):
     """Whether 0-based window cell (p, q) lies in the band of the given radius (None: no band).
 

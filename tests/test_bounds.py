@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dtwsearch import (
+    BoundMatrices,
     WindowOrderViolated,
     WindowTooLarge,
     compute_bounds,
@@ -14,7 +15,14 @@ from dtwsearch import (
     upper_bound_matrix,
     upper_bound_path,
 )
-from oracles import fixed_upper_path, in_band, naive_lower_bound, naive_min_pool, naive_upper_bound
+from oracles import (
+    fixed_upper_path,
+    fsum_path_sums,
+    in_band,
+    naive_lower_bound,
+    naive_min_pool,
+    naive_upper_bound,
+)
 
 WORKED = np.array([[0.0, 2.0], [1.0, 1.0], [3.0, 1.0]])
 
@@ -200,6 +208,43 @@ def test_upper_bound_is_path_sum_and_bounds_banded_dtw(rng):
         )
         assert np.allclose(up, naive, rtol=1e-12, atol=1e-12)
         assert np.all(dtw_matrix_full(mat, wu, ww, radius=radius) <= up * (1 + 1e-12) + 1e-12)
+
+
+@pytest.mark.parametrize("magnitude", [1e-3, 1.0, 1e6, 1e9])
+def test_window_sums_are_accurate_to_the_window_at_any_magnitude(magnitude):
+    # Tall grids: a difference of whole-series prefix sums would carry
+    # rounding of order rows * magnitude into every window. 1607 rows leave
+    # 1600 placement rows, a multiple of omega_u; 1601 leave 1594, which is
+    # not. The (8, 3) path runs in segments of 3 and 5 rows, unbanded and at
+    # radius 2, and of 2, 5 and 1 (one cell) at radius 1.
+    wu, ww = 8, 3
+    tol = wu * np.finfo(np.float64).eps
+    rng = np.random.default_rng(5)
+    for n in (1607, 1601):
+        mat = rng.uniform(0, magnitude, size=(n, 6))
+        pool = min_pool(mat, ww)
+        low = lower_bound_matrix(pool, wu)
+        checks = [(low, fsum_path_sums(pool, [0] * wu, low.shape))]
+        for radius in (None, 1, 2):
+            up = upper_bound_matrix(mat, wu, ww, radius=radius)
+            checks.append((up, fsum_path_sums(mat, upper_bound_path(wu, ww, radius).tolist(), up.shape)))
+        for got, exact in checks:
+            assert np.all(np.abs(got - exact) <= tol * exact)
+
+
+def test_sandwich_check_raises_only_past_the_slack():
+    # The slack at an upper bound of 1e3 is 1e-9 + 1e-12 * 1e3 = 2e-9. The
+    # gap sits in row 37 of 40: past two full blocks of 16 rows.
+    high = np.full((40, 3), 1e3)
+    pool = np.zeros((42, 3))
+    for gap, raises in ((1e-9, False), (1e-6, True)):
+        low = np.full((40, 3), 1e3)
+        low[37, 2] += gap
+        if raises:
+            with pytest.raises(WindowOrderViolated):
+                BoundMatrices(min_pool=pool, min_path=low, max_path=high)
+        else:
+            BoundMatrices(min_pool=pool, min_path=low, max_path=high)
 
 
 def kept(bm):
