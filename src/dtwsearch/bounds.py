@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TIE_TOLERANCE, WindowOrderViolated, WindowTooLarge
+from .core import WindowOrderViolated, WindowTooLarge, prune_limit
 from .dtw import _resolve_ranges
 from .metrics import _BLOCK_ROWS, _entries
 
@@ -47,11 +47,13 @@ class BoundMatrices:
             raise WindowTooLarge(
                 f"bound grids disagree in shape: {self.min_path.shape} vs {self.max_path.shape}"
             )
-        # Sandwich must hold up to summation rounding; in row blocks, so no grid-sized temporary.
+        # Sandwich must hold up to the prune's rounding pad; in row blocks, so no grid-sized temporary.
         for lo in range(0, self.shape[0], _BLOCK_ROWS):
             low, high = self.min_path[lo : lo + _BLOCK_ROWS], self.max_path[lo : lo + _BLOCK_ROWS]
-            if not np.all(low <= high + (TIE_TOLERANCE + 1e-12 * np.abs(high))):
-                raise WindowOrderViolated("lower bound exceeds upper bound; window order was violated upstream")
+            if not np.all(low <= prune_limit(high)):
+                raise WindowOrderViolated(
+                    "lower bound exceeds upper bound by more than the rounding pad; the bound sums lost precision"
+                )
 
     @property
     def shape(self):

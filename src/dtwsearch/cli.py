@@ -28,6 +28,7 @@ from .core import (
     NonFiniteValue,
     ParseError,
     RaggedRows,
+    SearchStats,
     TimeSeries,
     WindowPair,
 )
@@ -45,7 +46,13 @@ from .search import (
 )
 from .simgen import GroundTruth, SimulationSpec, generate_pair
 
-BENCH_METHODS = ("bruteforce", "sakoe_chiba", "sp", "sp_sakoe_chiba")
+# Each bench method: the search it runs, and whether it runs under the band.
+BENCH_METHODS = {
+    "bruteforce": (brute_force_search, False),
+    "sakoe_chiba": (brute_force_search, True),
+    "sp": (infer_most_similar, False),
+    "sp_sakoe_chiba": (infer_most_similar, True),
+}
 
 log = logging.getLogger("dtwsearch")
 
@@ -94,8 +101,7 @@ def ingest_csv(path) -> TimeSeries:
 
 def emit_csv(ts: TimeSeries, path):
     """Write a series as CSV with full round-trip precision."""
-    lines = [",".join(repr(float(v)) for v in row) for row in ts.values]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_grid_csv(ts.values, path)
 
 
 def _write_json(obj, path):
@@ -104,7 +110,7 @@ def _write_json(obj, path):
 
 def _write_grid_csv(grid: np.ndarray, path, comments=()):
     lines = [f"# {c}" for c in comments]
-    lines += [",".join(repr(float(v)) for v in row) for row in grid]
+    lines += [",".join(map(repr, row)) for row in grid.tolist()]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -192,18 +198,7 @@ def run_evaluate(args: argparse.Namespace) -> int:
     gt_doc = json.loads(Path(args.gt).read_text())
     pred_u, pred_w = _intervals_from_pred(pred)
     gt = GroundTruth(interval_u=tuple(gt_doc["interval_u"]), interval_w=tuple(gt_doc["interval_w"]))
-    counts = score_intervals(pred_u, pred_w, gt)
-    _write_json(
-        {
-            "tp": counts.tp,
-            "fp": counts.fp,
-            "fn": counts.fn,
-            "precision": counts.precision,
-            "recall": counts.recall,
-            "f1": counts.f1,
-        },
-        args.out,
-    )
+    _write_json(dataclasses.asdict(score_intervals(pred_u, pred_w, gt)), args.out)
     return 0
 
 
@@ -243,18 +238,6 @@ def run_lead(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_callable(method: str, radius: int):
-    if method == "bruteforce":
-        return lambda u, w, wp: brute_force_search(u, w, wp)
-    if method == "sakoe_chiba":
-        return lambda u, w, wp: brute_force_search(u, w, wp, SearchOptions(band_radius=radius))
-    if method == "sp":
-        return lambda u, w, wp: infer_most_similar(u, w, wp)
-    if method == "sp_sakoe_chiba":
-        return lambda u, w, wp: infer_most_similar(u, w, wp, SearchOptions(band_radius=radius))
-    raise InvalidSpec(f"unknown bench method {method!r}; choose from {', '.join(BENCH_METHODS)}")
-
-
 def _parse_window_token(token: str):
     if "x" in token:
         wa, wb = token.split("x", 1)
@@ -276,12 +259,10 @@ def run_bench(args: argparse.Namespace) -> int:
         if method not in BENCH_METHODS:
             raise InvalidSpec(f"unknown bench method {method!r}; choose from {', '.join(BENCH_METHODS)}")
 
-    header = (
-        "method,length,window_a,window_b,gamma,seed,band_radius,"
-        "pairs_total,pairs_after_prune,dtw_evaluations,dp_cells,lb_tightness,peak_grid_bytes,runtime_ms,"
-        + ",".join(STAGE_FIELDS)
-    )
-    lines = [header]
+    # Counters come from the last rep, timings are the median over reps.
+    stat_names = [f.name for f in dataclasses.fields(SearchStats)]
+    timed = ("runtime_ms",) + STAGE_FIELDS
+    lines = [",".join(["method", "length", "window_a", "window_b", "gamma", "seed", "band_radius", *stat_names])]
     for length, (wa, wb), gamma, seed in itertools.product(lengths, windows, gammas, seeds):
         spec = SimulationSpec(
             length_u=length, length_w=length, motif_len_u=wa, motif_len_w=wb,
@@ -291,28 +272,14 @@ def run_bench(args: argparse.Namespace) -> int:
         wp = WindowPair(omega_u=wa, omega_w=wb)
         radius = args.band or default_band_radius(wa, wb)
         for method in methods:
-            fn = _bench_callable(method, radius)
+            search, banded = BENCH_METHODS[method]
+            opts = SearchOptions(band_radius=radius if banded else None)
             for _ in range(warmup):
-                fn(u, w, wp)
-            runs = [fn(u, w, wp).stats for _ in range(reps)]
-            last = runs[-1]
-            banded = method in ("sakoe_chiba", "sp_sakoe_chiba")
-            lines.append(
-                ",".join(
-                    str(v)
-                    for v in (
-                        method, length, wa, wb, gamma, seed,
-                        radius if banded else "",
-                        last.pairs_total,
-                        last.pairs_after_prune,
-                        last.dtw_evaluations,
-                        last.dp_cells,
-                        last.lb_tightness,
-                        last.peak_grid_bytes,
-                        *(statistics.median(getattr(s, f) for s in runs) for f in ("runtime_ms",) + STAGE_FIELDS),
-                    )
-                )
-            )
+                search(u, w, wp, opts)
+            runs = [dataclasses.asdict(search(u, w, wp, opts).stats) for _ in range(reps)]
+            stats = [statistics.median(r[f] for r in runs) if f in timed else runs[-1][f] for f in stat_names]
+            row = (method, length, wa, wb, gamma, seed, radius if banded else "", *stats)
+            lines.append(",".join(map(str, row)))
     Path(args.out).write_text("\n".join(lines) + "\n")
     return 0
 

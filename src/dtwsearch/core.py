@@ -11,13 +11,23 @@ from typing import Tuple
 
 import numpy as np
 
-# Absolute tolerance used to group tied distances and to pad bound
-# comparisons. Floating-point summation order makes bit-equality between
-# independently computed DTW values fragile; every distance comparison in
-# the search (tie membership, candidate retention, early exit, early
-# abandoning) uses this single constant so the pruned search and the
-# brute-force search group ties identically.
+# Absolute tolerance that defines tie membership: every distance within it
+# of the best is a tied optimum, in the pruned search, top-k and brute force
+# alike. It is also the absolute part of prune_limit's pad.
 TIE_TOLERANCE = 1e-9
+
+
+def prune_limit(threshold):
+    """The padded limit a bound is compared against when pruning by ``threshold``.
+
+    A bound and the distance it bounds add the same costs in different
+    orders, so their rounding grows with the size of the sums: the pad is
+    the tie tolerance plus 1e-12 of the magnitude, which covers windows of
+    a few thousand rows at double precision. Every prune, early exit and
+    abandoning comparison uses it, so no placement within the tie
+    tolerance of the threshold is ever dropped. Works on arrays too.
+    """
+    return threshold + TIE_TOLERANCE + 1e-12 * np.abs(threshold)
 
 
 class DtwSearchError(Exception):
@@ -183,7 +193,7 @@ class WarpingPath:
 STAGE_FIELDS = ("normalize_ms", "distance_ms", "bounds_ms", "candidates_ms", "evaluate_ms")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SearchStats:
     """Instrumentation counters for one search run.
 
@@ -193,12 +203,6 @@ class SearchStats:
     cells computed for them (fewer than evaluations times window cells when
     placements are abandoned early).
 
-    The stage timings split runtime_ms: normalize_ms (validation, z-score
-    and the orientation swap), distance_ms (the pointwise distance matrix),
-    bounds_ms (the min-pool, lower- and upper-bound grids), candidates_ms
-    (the prune threshold, filter and sort) and evaluate_ms (exact DTW and
-    ranking). A stage an entry point does not run stays 0.0.
-
     lb_tightness is the lower bound at the winner (the smallest tied
     optimum, or the rank-1 match of top-k) divided by its DTW: near 1 the
     prune can keep few placements, near 0 it keeps most (1.0 when both are
@@ -206,20 +210,29 @@ class SearchStats:
     the size of the grids a search holds: the distance matrix plus the
     min-pool, lower- and upper-bound grids (for brute force, the distance
     matrix plus its table of every distance).
+
+    The stage timings split runtime_ms: normalize_ms (validation, z-score
+    and the orientation swap), distance_ms (the pointwise distance matrix),
+    bounds_ms (the min-pool, lower- and upper-bound grids), candidates_ms
+    (the prune threshold, filter and sort) and evaluate_ms (exact DTW and
+    ranking). A stage an entry point does not run stays 0.0.
+
+    The field order is the order of the result JSON's stats and of the
+    bench CSV's columns.
     """
 
     pairs_total: int
     pairs_after_prune: int
     dtw_evaluations: int
-    runtime_ms: float
     dp_cells: int = 0
+    lb_tightness: float = 0.0
+    peak_grid_bytes: int = 0
+    runtime_ms: float
     normalize_ms: float = 0.0
     distance_ms: float = 0.0
     bounds_ms: float = 0.0
     candidates_ms: float = 0.0
     evaluate_ms: float = 0.0
-    lb_tightness: float = 0.0
-    peak_grid_bytes: int = 0
 
     def __post_init__(self):
         if not (self.dtw_evaluations <= self.pairs_after_prune <= self.pairs_total):

@@ -305,7 +305,9 @@ def dtw_matrix_full(m, omega_u: int, omega_w: int, *, radius: int | None = None)
     This is the quadratic object the pruned search avoids materializing;
     it backs the brute-force baseline and the full top-k table. Placements
     go through dtw_batch in fixed chunks, with no threshold, so every
-    value is exact and bitwise what the pruned search computes.
+    value is exact and bitwise what the pruned search computes. A band that
+    disconnects the window's corners raises BandInfeasible from dtw_batch,
+    before any cell is computed.
     """
     arr = _entries(m)
     n, cols = arr.shape
@@ -317,8 +319,4 @@ def dtw_matrix_full(m, omega_u: int, omega_w: int, *, radius: int | None = None)
     for s in range(0, out.size, _FULL_CHUNK):
         a0, b0 = np.divmod(np.arange(s, min(s + _FULL_CHUNK, out.size)), pb)
         out[s : s + a0.size] = dtw_batch(arr, omega_u, omega_w, a0, b0, radius=radius)[0]
-    if radius is not None and not np.all(np.isfinite(out)):
-        raise BandInfeasible(
-            f"radius {radius} band disconnects the corners of a ({omega_u},{omega_w}) window"
-        )
     return out.reshape(pa, pb)

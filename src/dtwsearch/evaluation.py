@@ -1,7 +1,7 @@
 """Scoring predicted intervals against ground truth; lead-difference grids."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import IntervalOutOfBounds
 from .simgen import GroundTruth
@@ -9,24 +9,22 @@ from .simgen import GroundTruth
 
 @dataclass(frozen=True)
 class ConfusionCounts:
-    """Index-set confusion counts pooled over both series."""
+    """Index-set confusion counts pooled over both series, and the scores
+    derived from them (0.0 where a score's denominator is 0)."""
 
     tp: int
     fp: int
     fn: int
+    precision: float = field(init=False)
+    recall: float = field(init=False)
+    f1: float = field(init=False)
 
-    @property
-    def precision(self) -> float:
-        return self.tp / (self.tp + self.fp) if self.tp + self.fp > 0 else 0.0
-
-    @property
-    def recall(self) -> float:
-        return self.tp / (self.tp + self.fn) if self.tp + self.fn > 0 else 0.0
-
-    @property
-    def f1(self) -> float:
-        p, r = self.precision, self.recall
-        return 2.0 * p * r / (p + r) if p + r > 0 else 0.0
+    def __post_init__(self):
+        p = self.tp / (self.tp + self.fp) if self.tp + self.fp > 0 else 0.0
+        r = self.tp / (self.tp + self.fn) if self.tp + self.fn > 0 else 0.0
+        object.__setattr__(self, "precision", p)
+        object.__setattr__(self, "recall", r)
+        object.__setattr__(self, "f1", 2.0 * p * r / (p + r) if p + r > 0 else 0.0)
 
 
 def _check_interval(name, interval, length):

@@ -16,25 +16,27 @@ a group of placements once, for each of them, the smallest accumulated
 value in a window row plus the pool minima of the rows below it exceeds
 the threshold. That sum is a lower bound on the placement's DTW, so an
 abandoned placement cannot be among the k best, and every placement that
-can is computed exactly. Every threshold comparison is padded by the tie
-tolerance, so a placement tied with the k-th best is never pruned,
-skipped or abandoned.
+can is computed exactly. Every threshold comparison is padded by
+``prune_limit``: the tie tolerance plus a share of the threshold's
+magnitude, since a bound and its distance round differently once the sums
+grow large. So a placement tied with the k-th best is never pruned,
+skipped or abandoned, at any scale of the input.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .core import (
-    STAGE_FIELDS,
     TIE_TOLERANCE,
     InvalidSpec,
     SearchResult,
     SearchStats,
     TimeSeries,
     WindowPair,
+    prune_limit,
     validate_query,
 )
 from .bounds import BoundMatrices, compute_bounds
@@ -129,11 +131,11 @@ class Candidates:
 def find_candidates(bm: BoundMatrices, *, threshold: float) -> Candidates:
     """Placements whose lower bound does not exceed the prune threshold.
 
-    The comparison is padded by the tie tolerance so summation rounding can
-    never drop a placement tied at the threshold. Sorted ascending by lower
-    bound, ties by (a, b).
+    The comparison is padded by ``prune_limit`` so summation rounding can
+    never drop a placement tied at the threshold, whatever the magnitude of
+    the distances. Sorted ascending by lower bound, ties by (a, b).
     """
-    mask = bm.min_path <= threshold + TIE_TOLERANCE
+    mask = bm.min_path <= prune_limit(threshold)
     ii, jj = np.nonzero(mask)
     lbs = bm.min_path[ii, jj]
     order = np.argsort(lbs, kind="stable")  # nonzero lists (a, b) in row-major order
@@ -162,7 +164,7 @@ def _evaluate(m, omega_u, omega_w, cands: Candidates, bm: BoundMatrices, k, boun
     def batch(idx):
         nonlocal cells
         out, c = dtw_batch(
-            m, omega_u, omega_w, a0[idx], b0[idx], radius=radius, threshold=thr + TIE_TOLERANCE, pool=bm.min_pool
+            m, omega_u, omega_w, a0[idx], b0[idx], radius=radius, threshold=prune_limit(thr), pool=bm.min_pool
         )
         cells += c
         return out
@@ -171,14 +173,14 @@ def _evaluate(m, omega_u, omega_w, cands: Candidates, bm: BoundMatrices, k, boun
         return bound if values.size < k else min(bound, _kth_smallest(values, k))
 
     thr = kth(d)
-    redo = np.flatnonzero(np.isinf(d) & (lbs[: d.size] <= thr + TIE_TOLERANCE))
+    redo = np.flatnonzero(np.isinf(d) & (lbs[: d.size] <= prune_limit(thr)))
     if redo.size:
         d = d.copy()
         d[redo] = batch(redo)
         thr = kth(d)
     chunk = _FIRST_CHUNK
-    while (pos := d.size) < lbs.size and lbs[pos] <= thr + TIE_TOLERANCE:
-        end = pos + int(np.searchsorted(lbs[pos : pos + chunk], thr + TIE_TOLERANCE, side="right"))
+    while (pos := d.size) < lbs.size and lbs[pos] <= (limit := prune_limit(thr)):
+        end = pos + int(np.searchsorted(lbs[pos : pos + chunk], limit, side="right"))
         d = np.concatenate((d, batch(slice(pos, end))))
         thr = kth(d)
         chunk = min(chunk * 4, _MAX_CHUNK)
@@ -403,30 +405,10 @@ def top_k_search(
 
 
 def result_to_json_dict(result: SearchResult) -> dict:
-    """The documented JSON form of a search result."""
-    return {
-        "shortest_dist": result.shortest_dist,
-        "solutions": [{"a": a, "b": b} for a, b in result.sorted_solutions()],
-        "swapped": result.swapped,
-        "window_a": result.window_a,
-        "window_b": result.window_b,
-        "normalized": result.normalized,
-        "band_radius": result.band_radius,
-        "stats": {
-            "pairs_total": result.stats.pairs_total,
-            "pairs_after_prune": result.stats.pairs_after_prune,
-            "dtw_evaluations": result.stats.dtw_evaluations,
-            "dp_cells": result.stats.dp_cells,
-            "lb_tightness": result.stats.lb_tightness,
-            "peak_grid_bytes": result.stats.peak_grid_bytes,
-            "runtime_ms": result.stats.runtime_ms,
-            **{name: getattr(result.stats, name) for name in STAGE_FIELDS},
-        },
-    }
+    """The documented JSON form of a search result: its fields, with the solutions as sorted {a, b} objects."""
+    return {**asdict(result), "solutions": [{"a": a, "b": b} for a, b in result.sorted_solutions()]}
 
 
 def topk_to_json_list(result: TopKResult) -> list:
-    """The documented JSON form of a top-k ranking."""
-    return [
-        {"rank": m.rank, "a": m.a, "b": m.b, "distance": m.distance} for m in result.matches
-    ]
+    """The documented JSON form of a top-k ranking: one object of RankedMatch's fields per match."""
+    return [asdict(m) for m in result.matches]

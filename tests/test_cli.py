@@ -2,11 +2,20 @@ import json
 import logging
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from dtwsearch import EmptyFile, NonFiniteValue, RaggedRows, TimeSeries, dtw_matrix_full, upper_bound_matrix
+from dtwsearch import (
+    EmptyFile,
+    NonFiniteValue,
+    RaggedRows,
+    SearchStats,
+    TimeSeries,
+    dtw_matrix_full,
+    upper_bound_matrix,
+)
 from dtwsearch.cli import emit_csv, ingest_csv, main
 
 
@@ -230,6 +239,9 @@ def test_bench_command_counters(tmp_path):
     assert rc == 0
     lines = out.read_text().splitlines()
     header = lines[0].split(",")
+    # The stats columns are SearchStats' fields, in order, after the settings.
+    settings = ["method", "length", "window_a", "window_b", "gamma", "seed", "band_radius"]
+    assert header == settings + [f.name for f in fields(SearchStats)]
     rows = [dict(zip(header, ln.split(","))) for ln in lines[1:]]
     by_method = {r["method"]: r for r in rows}
     assert set(by_method) == {"bruteforce", "sp"}

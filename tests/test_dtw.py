@@ -116,6 +116,9 @@ def test_band_infeasible_when_shorter_side_first():
     for threshold in (None, -1.0):
         with pytest.raises(BandInfeasible):
             dtw_batch(mat, 8, 25, [0, 2], [0, 5], radius=1, threshold=threshold, pool=np.zeros((10, 6)))
+    # and the full table raises through it, before computing a cell
+    with pytest.raises(BandInfeasible):
+        dtw_matrix_full(mat, 8, 25, radius=1)
 
 
 def test_default_band_radius():

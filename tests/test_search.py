@@ -1,10 +1,14 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from dtwsearch import (
     STAGE_FIELDS,
     InvalidSpec,
+    RankedMatch,
     SearchOptions,
+    SearchStats,
     TimeSeries,
     WindowPair,
     brute_force_search,
@@ -189,6 +193,29 @@ def test_large_magnitude_search_matches_brute_force():
                 bf = brute_force_search(u, w, wp, opts)
                 assert sp.solutions == bf.solutions
                 assert sp.shortest_dist == bf.shortest_dist
+
+
+@pytest.mark.parametrize(
+    "seed, magnitude, omega_w, radius",
+    [(37, 1e4, 1, None), (59, 1e4, 1, None), (73, 1e6, 1, None), (138, 1e6, 1, None), (59, 1e4, 3, 2), (37, 1e4, 5, 3)],
+)
+def test_prune_pad_scales_with_magnitude(seed, magnitude, omega_w, radius):
+    # The two pure windows of u hold the same costs in reverse order, so
+    # they tie in exact arithmetic; their lower bounds and DTW values round
+    # apart by more than the absolute 1e-9 once the sums reach about 1e5.
+    # An absolute pad dropped the (241, .) ties here, and at seed 73 it
+    # returned the wrong optimum.
+    rng = np.random.default_rng(seed)
+    ramp = magnitude * (1 + rng.uniform(size=200))
+    peak = magnitude * (50 + rng.uniform(size=40))
+    u = TimeSeries(values=np.concatenate([ramp, peak, ramp[::-1]]))
+    w = TimeSeries(values=np.zeros(omega_w + 1))
+    wp, opts = WindowPair(200, omega_w), SearchOptions(band_radius=radius)
+    sp = infer_most_similar(u, w, wp, opts)
+    bf = brute_force_search(u, w, wp, opts)
+    assert any(a == 241 for a, _ in bf.solutions)  # the reversed window is optimal
+    assert sp.solutions == bf.solutions
+    assert sp.shortest_dist == bf.shortest_dist
 
 
 def twin_motif_pair(rng, n=110, m=90, motif_len=24):
@@ -388,10 +415,13 @@ def test_result_json_schema():
         "normalize_ms", "distance_ms", "bounds_ms", "candidates_ms", "evaluate_ms",
         "lb_tightness", "peak_grid_bytes",
     }
+    # The stats serialize from SearchStats itself, in its field order.
+    assert list(doc["stats"]) == [f.name for f in fields(SearchStats)]
     assert doc["stats"]["dp_cells"] == 4  # one 2x2 placement evaluated
     tk = top_k_search(U3, W2, WindowPair(2, 2), 2)
     arr = topk_to_json_list(tk)
     assert arr[0] == {"rank": 1, "a": 1, "b": 1, "distance": 1.0}
+    assert all(list(obj) == [f.name for f in fields(RankedMatch)] for obj in arr)
 
 
 def test_stage_timings_split_runtime(rng):
