@@ -5,11 +5,12 @@ One kernel serves every evaluation: ``dtw_batch`` calls a small C kernel
 lockstep, row by row over each window row's column range (the whole row,
 or the slope-adjusted band around the straight line between window
 corners), with every DP cell one eight-lane vector loop. The pruned search
-calls it on chunks of candidates; given a threshold it also abandons a
-group of placements once each one's smallest value in a row, plus the
-pool minima of the rows below, passes it. ``dtw_windowed`` is the same
-kernel on one placement, and ``dtw_matrix_full`` (the brute-force table)
-is the same kernel on every placement, in fixed chunks.
+calls it on chunks of candidates; given a threshold it trims each row to
+the columns where some placement's value, plus the pool minima of the rows
+below, stays within it, and abandons a group once no column does.
+``dtw_windowed`` is the same kernel on one placement, and
+``dtw_matrix_full`` (the brute-force table) is the same kernel on every
+placement, in fixed chunks.
 
 The kernel is compiled with ``cc`` on first use, not at import, and cached
 in this package's ``__pycache__`` under a hash of its source and flags; a
@@ -255,14 +256,18 @@ def dtw_batch(m, omega_u: int, omega_w: int, a0, b0, *, radius: int | None = Non
     and the number of DP cells computed.
 
     With a threshold and the min-pool grid of the matrix (``pool[i, j]``,
-    the minimum of row i over columns j .. j+omega_w-1), placements are
-    abandoned early. Every warping path visits every window row, so its
-    cost is at least its smallest accumulated value in row i plus one cell
-    of each later row, and each of those costs at least that row's pool
-    minimum. A group is abandoned once that sum exceeds the threshold for
-    every placement in it; its placements are returned as +inf, while a
-    group that finishes returns all its distances exact. Every finite value
-    is exact. The caller pads the threshold by its tie tolerance.
+    the minimum of row i over columns j .. j+omega_w-1), cells are pruned.
+    Every warping path visits every window row, so a path through cell
+    (i, j) costs at least the cell's value plus one cell of each later row,
+    and each of those costs at least that row's pool minimum. A cell where
+    that sum exceeds the threshold for every placement of its group is
+    dead: each row is trimmed to the span between its first and last live
+    columns, and a group with no live column left is abandoned. Every
+    finite value returned is exact, and a distance above the threshold
+    comes back +inf. The bound and the distance add the same costs in
+    different orders, so they round apart: the caller pads the threshold
+    with ``prune_limit``, and then every distance at or below the unpadded
+    threshold comes back exact.
     """
     arr = np.ascontiguousarray(_entries(m))
     n, cols = arr.shape

@@ -11,16 +11,16 @@ brute-force one. The single optimum is the case k=1: its tie set is
 every evaluated placement within the tie tolerance of the smallest
 distance, again equal to brute force's.
 
-Candidates go in growing chunks through the batch kernel, which abandons
-a group of placements once, for each of them, the smallest accumulated
-value in a window row plus the pool minima of the rows below it exceeds
-the threshold. That sum is a lower bound on the placement's DTW, so an
-abandoned placement cannot be among the k best, and every placement that
-can is computed exactly. Every threshold comparison is padded by
-``prune_limit``: the tie tolerance plus a share of the threshold's
-magnitude, since a bound and its distance round differently once the sums
-grow large. So a placement tied with the k-th best is never pruned,
-skipped or abandoned, at any scale of the input.
+Candidates go in growing chunks through the batch kernel, each chunk in
+start order. The kernel skips a DP cell when, for every placement in its
+group, the cell's value plus the pool minima of the rows below exceeds
+the threshold, and returns +inf for a distance above it. That sum is a
+lower bound on the cost of any path through the cell, so a placement
+that can be among the k best is computed exactly. Every threshold
+comparison is padded by ``prune_limit``: the tie tolerance plus a share
+of the threshold's magnitude, since a bound and its distance round
+differently once the sums grow large. So a placement tied with the k-th
+best is never pruned, skipped or abandoned, at any scale of the input.
 """
 from __future__ import annotations
 
@@ -135,11 +135,13 @@ def find_candidates(bm: BoundMatrices, *, threshold: float) -> Candidates:
     never drop a placement tied at the threshold, whatever the magnitude of
     the distances. Sorted ascending by lower bound, ties by (a, b).
     """
-    mask = bm.min_path <= prune_limit(threshold)
-    ii, jj = np.nonzero(mask)
-    lbs = bm.min_path[ii, jj]
-    order = np.argsort(lbs, kind="stable")  # nonzero lists (a, b) in row-major order
-    return Candidates(a=ii[order] + 1, b=jj[order] + 1, lower_bounds=lbs[order])
+    flat = bm.min_path.ravel()
+    idx = np.flatnonzero(flat <= prune_limit(threshold))
+    idx = idx[np.argsort(flat[idx], kind="stable")]  # flatnonzero lists (a, b) in row-major order
+    a, b = np.divmod(idx, bm.shape[1])
+    a += 1  # in place: each index array is as long as the survivors
+    b += 1
+    return Candidates(a=a, b=b, lower_bounds=flat[idx])
 
 
 def _evaluate(m, omega_u, omega_w, cands: Candidates, bm: BoundMatrices, k, bound, radius, d=None):
@@ -162,9 +164,15 @@ def _evaluate(m, omega_u, omega_w, cands: Candidates, bm: BoundMatrices, k, boun
     cells = 0
 
     def batch(idx):
+        # In start order, neighbouring placements share a lane group and their
+        # live columns, so the kernel trims more of each row. The threshold is
+        # fixed within a batch, so the order changes no result.
         nonlocal cells
-        out, c = dtw_batch(
-            m, omega_u, omega_w, a0[idx], b0[idx], radius=radius, threshold=prune_limit(thr), pool=bm.min_pool
+        a, b = a0[idx], b0[idx]
+        order = np.lexsort((b, a))
+        out = np.empty(a.size)
+        out[order], c = dtw_batch(
+            m, omega_u, omega_w, a[order], b[order], radius=radius, threshold=prune_limit(thr), pool=bm.min_pool
         )
         cells += c
         return out

@@ -15,6 +15,7 @@ from dtwsearch import (
     dtw_windowed,
 )
 from dtwsearch.bounds import min_pool
+from dtwsearch.core import prune_limit
 from dtwsearch import dtw
 from dtwsearch.dtw import _FULL_CHUNK, _kernel, window_cells
 from oracles import naive_dtw
@@ -250,9 +251,42 @@ def test_one_live_lane_keeps_its_group_exact():
         truth = np.array([naive_dtw(mat, wu, ww, (a + 1, b + 1)) for a, b in zip(a0, b0)])
         out, cells = dtw_batch(mat, wu, ww, a0, b0, threshold=0.5, pool=pool)
         assert out[lane] == 0.0
-        assert np.array_equal(out[:lanes], truth[:lanes])
+        assert np.all((out[:lanes] == truth[:lanes]) | (np.isinf(out[:lanes]) & (truth[:lanes] > 0.5)))
         assert np.all(np.isinf(out[lanes:])) and np.all(truth[lanes:] > 0.5)
-        assert lanes * full <= cells < a0.size * full
+        # The live lane keeps every column of its group's rows live; the other
+        # group stops at its first cell, which is dead in all its lanes.
+        assert cells == lanes * full + (a0.size - lanes)
+
+
+@pytest.mark.parametrize("radius, cells", [(None, 8 + 8 + 8 + 4 * 3 + 2), (2, 3 + 4 + 5 + 4 * 3 + 2)])
+def test_rows_are_trimmed_to_their_live_columns(radius, cells):
+    # The window's first two rows cost nothing, and after them only the
+    # diagonal does. Under a threshold of (padded) zero, rows 0-2 run in
+    # full; from then on each row's live columns are its diagonal cell
+    # alone, so the next row runs from it to one past it, and on one more
+    # cell, which is dead. The last row starts at the diagonal of the row
+    # above.
+    mat = 10.0 * (1.0 - np.eye(12))
+    mat[2:4] = 0.0
+    out, counted = dtw_batch(mat, 8, 8, [2], [2], radius=radius, threshold=prune_limit(0.0), pool=min_pool(mat, 8))
+    assert out[0] == 0.0
+    assert counted == cells < window_cells(8, 8, radius)
+
+
+@pytest.mark.parametrize("magnitude", [1e4, 1e5, 1e6, 1e7])
+@pytest.mark.parametrize("omega_u, omega_w, shape", [(200, 3, (215, 12)), (60, 40, (70, 50))])
+def test_threshold_at_prune_limit_keeps_every_distance(omega_u, omega_w, shape, magnitude):
+    # Each placement alone, with its own distance padded by prune_limit as the
+    # threshold: its trimmed rows must keep every cell of its optimal path, so
+    # the distance comes back bitwise. The row bounds and the path sum round
+    # apart; at 1e5 and above an absolute 1e-9 pad loses some of the tall
+    # window's placements.
+    mat = magnitude * (1 + np.random.default_rng(0).uniform(size=shape))
+    truth = dtw_matrix_full(mat, omega_u, omega_w)
+    pool = min_pool(mat, omega_w)
+    for (a, b), d in np.ndenumerate(truth):
+        out, _ = dtw_batch(mat, omega_u, omega_w, [a], [b], threshold=prune_limit(d), pool=pool)
+        assert out[0] == d
 
 
 def test_band_wider_than_one_column_per_row_matches_scalar(rng):
