@@ -1,14 +1,20 @@
-/* Windowed DTW at many placements, LANES of them in lockstep.
+/* The package's compiled library: windowed DTW at many placements, LANES
+ * of them in lockstep, and the search's grids (the distance matrix, the
+ * min-pool and the window sums of the bound grids).
  *
- * dtw.py compiles this file on first use and calls dtw_lockstep through
- * ctypes, after checking every index and shape it passes. A group of LANES
- * placements runs the recurrence row by row over each window row's column
- * range [lo[i], hi[i]]; every DP cell is one loop over the lanes, which the
- * compiler turns into vector instructions. A cell is the minimum of its
- * three predecessors plus its cost: one minimum and one rounding, so its
- * value does not depend on the lane or group it runs in, and equals the
- * pure-Python recurrence bitwise. Build without -ffast-math, which would
- * change how infinities and minima behave.
+ * _native.py compiles this file on first use; dtw.py, metrics.py and
+ * bounds.py call it through ctypes, after checking every index, shape and
+ * stride they pass. Build without -ffast-math, which would change how
+ * infinities and minima behave, and with -ffp-contract=off, so that every
+ * product and sum rounds on its own, as in numpy: each grid equals the
+ * numpy one the tests keep (tests/oracles.py) bitwise.
+ *
+ * DTW: a group of LANES placements runs the recurrence row by row over
+ * each window row's column range [lo[i], hi[i]]; every DP cell is one loop
+ * over the lanes, which the compiler turns into vector instructions. A
+ * cell is the minimum of its three predecessors plus its cost: one minimum
+ * and one rounding, so its value does not depend on the lane or group it
+ * runs in, and equals the pure-Python recurrence bitwise.
  *
  * Given a threshold, each row is trimmed to its live columns: those where
  * some lane's value, plus a lower bound on the rest of its path, is at
@@ -147,4 +153,126 @@ int64_t dtw_lockstep(const double *m, int64_t cols, int64_t omega_u, int64_t ome
         }
     }
     return total;
+}
+
+/* out[i, j] = dist(u_i, w_j) for the n x dims row-major u and wt, w
+ * transposed (dims x m, row-major): the squares of u_ik - w_jk summed in
+ * dimension order from 0.0, then one square root, as numpy does it one
+ * operation at a time. Build with -ffp-contract=off, so that no target
+ * fuses d * d + acc into one rounding. */
+void distance_rows(const double *u, int64_t n, const double *wt, int64_t m, int64_t dims, double *out)
+{
+    for (int64_t i = 0; i < n; i++) {
+        double *restrict row = out + i * m;
+        for (int64_t j = 0; j < m; j++)
+            row[j] = 0.0;
+        for (int64_t k = 0; k < dims; k++) {
+            const double x = u[i * dims + k];
+            const double *restrict c = wt + k * m;
+            for (int64_t j = 0; j < m; j++) {
+                const double d = x - c[j];
+                row[j] = row[j] + d * d;
+            }
+        }
+        for (int64_t j = 0; j < m; j++)
+            row[j] = sqrt(row[j]);
+    }
+}
+
+/* out[i, j] = min(m[i, j .. j + omega - 1]) for the n x cols row-major m,
+ * out having cols - omega + 1 columns (van Herk 1992; Gil & Werman 1993):
+ * within blocks of omega columns, a running minimum from each block's start
+ * (pre) and one to its end (suf); a window is the suffix of the block it
+ * starts in and the prefix of the block it ends in. A minimum rounds
+ * nothing, so any order gives the same value. work holds 2 * cols doubles. */
+void min_pool_rows(const double *m, int64_t n, int64_t cols, int64_t omega, double *work, double *out)
+{
+    const int64_t keep = cols - omega + 1;
+    double *restrict pre = work, *restrict suf = work + cols;
+    for (int64_t i = 0; i < n; i++) {
+        const double *restrict x = m + i * cols;
+        for (int64_t s = 0; s < cols; s += omega) {
+            const int64_t e = s + omega < cols ? s + omega : cols;
+            pre[s] = x[s];
+            for (int64_t j = s + 1; j < e; j++)
+                pre[j] = min2(pre[j - 1], x[j]);
+            suf[e - 1] = x[e - 1];
+            for (int64_t j = e - 2; j >= s; j--)
+                suf[j] = min2(x[j], suf[j + 1]);
+        }
+        double *restrict o = out + i * keep;
+        for (int64_t j = 0; j < keep; j++)
+            o[j] = min2(suf[j], pre[j + omega - 1]);
+    }
+}
+
+/* out[i, j] += sum(g[i + t, j + step * t] for t < length) for the rows x
+ * cols row-major out, g read through a row stride of gstride doubles; step
+ * 0 sums down a column, step 1 along a diagonal. In blocks of length rows
+ * (van Herk; Gil & Werman), the window from block row r is the suffix sum
+ * of its block's rows r .. length - 1 plus the prefix sum of the next
+ * block's first r rows, and each entry becomes (out + suffix) + prefix, as
+ * numpy adds them one grid at a time. Sums run in the skewed frame: with
+ * k = j - step * r for the entry (lo + r, j),
+ *
+ *   D_{length-1}(k) = g[lo + length - 1, k + step * (length - 1)],
+ *   D_r(k) = g[lo + r, k + step * r] + D_{r+1}(k)                  (suffix),
+ *   E_0(k) = g[lo + length, k + step * length],
+ *   E_s(k) = E_{s-1}(k) + g[lo + length + s, k + step * (length + s)]  (prefix),
+ *
+ * and out[lo + r, j] = (out + D_r(k)) + E_{r-1}(k); each recursion keeps
+ * its column, so strips of `strip` values of k cover the block with no work
+ * repeated, whatever the step and length. No sum has more than length
+ * terms, so its rounding scales with the window, not the series. With
+ * fresh set, out holds nothing yet and 0.0 stands for it. work holds
+ * (length + 1) * strip doubles. */
+void window_sums(double *out, int64_t rows, int64_t cols, const double *g, int64_t gstride, int64_t length,
+                 int64_t step, int64_t fresh, int64_t strip, double *work)
+{
+    double *d = work, *e = work + strip; /* D_r of the strip; E_0 .. E_{length-2}, a row each */
+    for (int64_t lo = 0; lo < rows; lo += length) {
+        const int64_t n = rows - lo < length ? rows - lo : length;
+        const double *block = g + lo * gstride, *next = block + length * gstride;
+        for (int64_t k0 = -(n - 1) * step; k0 < cols; k0 += strip) {
+            const int64_t w = cols - k0 < strip ? cols - k0 : strip;
+            /* E_s at k0 + t, for the t whose entry of row lo + s + 1 is a column of out. */
+            for (int64_t s = 0; s + 1 < n; s++) {
+                const int64_t hi = cols - k0 - step * (s + 1) < w ? cols - k0 - step * (s + 1) : w;
+                const double *restrict gs = next + s * gstride + k0 + step * (length + s);
+                double *restrict es = e + s * strip;
+                const double *restrict below = es - strip;
+                if (s == 0)
+                    for (int64_t t = 0; t < hi; t++)
+                        es[t] = gs[t];
+                else
+                    for (int64_t t = 0; t < hi; t++)
+                        es[t] = below[t] + gs[t];
+            }
+            /* D_r from the block's last row up; a t whose column is left of
+             * g's first is left of it in every row above too. */
+            for (int64_t r = length - 1; r >= 0; r--) {
+                const int64_t col = k0 + step * r, first = col < 0 ? -col : 0;
+                const double *restrict gr = block + r * gstride + col + first;
+                double *restrict dr = d + first;
+                if (r == length - 1)
+                    for (int64_t t = 0; t < w - first; t++)
+                        dr[t] = gr[t];
+                else
+                    for (int64_t t = 0; t < w - first; t++)
+                        dr[t] = gr[t] + dr[t];
+                if (r >= n)
+                    continue;
+                const int64_t end = cols - col < w ? cols - col : w;
+                double *restrict o = out + (lo + r) * cols + col + first;
+                if (r == 0)
+                    for (int64_t t = 0; t < end - first; t++)
+                        o[t] = (fresh ? 0.0 : o[t]) + dr[t];
+                else {
+                    const double *restrict er = e + (r - 1) * strip + first;
+                    for (int64_t t = 0; t < end - first; t++)
+                        o[t] = ((fresh ? 0.0 : o[t]) + dr[t]) + er[t];
+                }
+            }
+        }
+    }
 }

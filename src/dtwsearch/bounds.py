@@ -10,8 +10,10 @@ k=1 that entry is the global minimum.
 
 Both grids sum their windows with one routine (_add_window_sums), not by
 rescanning omega cells per entry: O(nm) per straight segment of a path,
-plus O(nm log omega_w) for the lower bound's min-pool grid. That is what
-makes pruning cheaper than the search it replaces.
+plus O(nm) for the lower bound's min-pool grid. That is what makes
+pruning cheaper than the search it replaces. The min-pool and the window
+sums run in the compiled library (``_kernel.c``) and make no grid-sized
+temporary.
 """
 from __future__ import annotations
 
@@ -19,9 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._native import _kernel
 from .core import WindowOrderViolated, WindowTooLarge, prune_limit
 from .dtw import _resolve_ranges
-from .metrics import _BLOCK_ROWS, _entries
+from .metrics import _entries
+
+_BLOCK_ROWS = 16  # rows per pass of the sandwich check: a block and its temporaries stay in cache
+# Columns per strip of the window sums: a strip's prefix sums, one row of
+# them per window row, stay in cache until its entries of out are written.
+_STRIP = 256
 
 
 @dataclass(frozen=True)
@@ -48,9 +56,10 @@ class BoundMatrices:
                 f"bound grids disagree in shape: {self.min_path.shape} vs {self.max_path.shape}"
             )
         # Sandwich must hold up to the prune's rounding pad; in row blocks, so no grid-sized temporary.
+        # prune_limit(x) >= x, so the pad is only built for a block that fails without it.
         for lo in range(0, self.shape[0], _BLOCK_ROWS):
             low, high = self.min_path[lo : lo + _BLOCK_ROWS], self.max_path[lo : lo + _BLOCK_ROWS]
-            if not np.all(low <= prune_limit(high)):
+            if not np.all(low <= high) and not np.all(low <= prune_limit(high)):
                 raise WindowOrderViolated(
                     "lower bound exceeds upper bound by more than the rounding pad; the bound sums lost precision"
                 )
@@ -63,51 +72,49 @@ class BoundMatrices:
 def min_pool(m, omega_w: int) -> np.ndarray:
     """Sliding minima over each row: out[i, j] = min(M[i, j:j+omega_w]).
 
-    Doubling window widths up to the largest power of two p <= omega_w, then
-    two overlapping p-windows offset by omega_w - p: floor(log2 omega_w) + 1
-    passes of np.minimum over blocks of rows; only the result is grid-sized.
+    One pass per row in the compiled library: running minima within blocks
+    of omega_w columns, from each block's start and to its end (van Herk
+    1992; Gil & Werman 1993), so each entry costs O(1) whatever the window.
     """
-    arr = _entries(m)
+    arr = np.ascontiguousarray(_entries(m))
     n, cols = arr.shape
     if not 1 <= omega_w <= cols:
         raise WindowTooLarge(f"omega_w={omega_w} does not fit matrix with {cols} columns")
-    keep = cols - omega_w + 1
-    out = np.empty((n, keep))
-    for lo in range(0, n, _BLOCK_ROWS):
-        rows, width = arr[lo : lo + _BLOCK_ROWS], 1
-        while 2 * width <= omega_w:
-            rows = np.minimum(rows[:, :-width], rows[:, width:])
-            width *= 2
-        np.minimum(rows[:, :keep], rows[:, omega_w - width :], out=out[lo : lo + _BLOCK_ROWS])
+    out = np.empty((n, cols - omega_w + 1))
+    work = np.empty(2 * cols)
+    _kernel()[0].min_pool_rows(arr.ctypes.data, n, cols, omega_w, work.ctypes.data, out.ctypes.data)
     return out
 
 
-def _add_window_sums(out: np.ndarray, g: np.ndarray, length: int, step: int):
+def _add_window_sums(out: np.ndarray, g: np.ndarray, length: int, step: int, fresh: bool):
     """out[i, j] += sum(g[i + t, j + step*t] for t < length): step 0 is a column, 1 a diagonal.
 
     In blocks of `length` rows, the window from row r is the suffix running
     sum of its block from r plus the prefix running sum of the next block's
     first r rows (van Herk 1992; Gil & Werman 1993). No sum has more than
     `length` terms, so its rounding scales with the window, not the series.
+    Runs in the compiled library (``window_sums`` in ``_kernel.c``); g may
+    be a view with any row stride. With ``fresh``, out holds nothing yet:
+    each entry is written as 0.0 plus its sum, as if out were zeros.
     """
     rows, cols = out.shape
     width = cols + step * (length - 1)
-    # suffix[r, j]: block rows r.. from column j; prefix[s, c]: next block's rows ..s ending at
-    # column c. Entries outside a row's valid columns are never read; zeros keep them finite.
-    suffix, prefix = np.zeros((2, length, width))
-    g_head, suf_head, suf_tail = g[:, : width - step], suffix[:, : width - step], suffix[:, step:]
-    g_tail, pre_head, pre_tail = g[:, step:width], prefix[:, : width - step], prefix[:, step:]
-    for lo in range(0, rows, length):
-        n, nxt = min(length, rows - lo), lo + length
-        suffix[-1] = g[nxt - 1, :width]
-        for r in range(length - 2, -1, -1):
-            np.add(g_head[lo + r], suf_tail[r + 1], out=suf_head[r])
-        out[lo : lo + n] += suffix[:n, :cols]
-        if n > 1:
-            prefix[0] = g[nxt, :width]
-            for s in range(1, n - 1):
-                np.add(pre_head[s - 1], g_tail[nxt + s], out=pre_tail[s])
-            out[lo + 1 : lo + n] += prefix[: n - 1, width - cols :]
+    if not (
+        out.dtype == g.dtype == np.float64
+        and out.flags.c_contiguous
+        and g.strides[1] == g.itemsize
+        and g.strides[0] % g.itemsize == 0
+        and g.shape[0] >= rows + length - 1
+        and g.shape[1] >= width
+        and length >= 1
+        and step >= 0
+    ):
+        raise ValueError(f"window sums of length {length}, step {step} do not fit grids {out.shape} and {g.shape}")
+    work = np.empty((length + 1) * _STRIP)
+    _kernel()[0].window_sums(
+        out.ctypes.data, rows, cols, g.ctypes.data, g.strides[0] // g.itemsize, length, step, fresh, _STRIP,
+        work.ctypes.data,
+    )
 
 
 def lower_bound_matrix(pool: np.ndarray, omega_u: int) -> np.ndarray:
@@ -116,12 +123,12 @@ def lower_bound_matrix(pool: np.ndarray, omega_u: int) -> np.ndarray:
     out[i, j] = sum(pool[i : i+omega_u, j]); equals the admissible lower
     bound of windowed DTW at placement (i, j).
     """
-    pool = np.asarray(pool, dtype=np.float64)
+    pool = np.ascontiguousarray(pool, dtype=np.float64)
     n = pool.shape[0]
     if not 1 <= omega_u <= n:
         raise WindowTooLarge(f"omega_u={omega_u} does not fit grid with {n} rows")
-    out = np.zeros((n - omega_u + 1, pool.shape[1]))
-    _add_window_sums(out, pool, omega_u, 0)
+    out = np.empty((n - omega_u + 1, pool.shape[1]))
+    _add_window_sums(out, pool, omega_u, 0, True)
     return out
 
 
@@ -169,14 +176,14 @@ def upper_bound_matrix(m, omega_u: int, omega_w: int, radius: int | None = None)
     that band. Each straight segment of the path adds its window sums,
     along the diagonal or down a column.
     """
-    arr = _entries(m)
+    arr = np.ascontiguousarray(_entries(m))
     _check_window_order(arr, omega_u, omega_w)
     path = upper_bound_path(omega_u, omega_w, radius).tolist()
     steps = np.diff(path, prepend=-1)
     starts = np.flatnonzero(np.diff(steps, prepend=-1))
-    out = np.zeros((arr.shape[0] - omega_u + 1, arr.shape[1] - omega_w + 1))
+    out = np.empty((arr.shape[0] - omega_u + 1, arr.shape[1] - omega_w + 1))
     for p, length, step in zip(starts.tolist(), np.diff(starts, append=omega_u).tolist(), steps[starts].tolist()):
-        _add_window_sums(out, arr[p:, path[p] :], length, step)
+        _add_window_sums(out, arr[p:, path[p] :], length, step, p == 0)
     return out
 
 

@@ -91,7 +91,7 @@ class EmptyFile(ParseError):
 
 
 class KernelCompileError(DtwSearchError):
-    """The C compiler for the DTW kernel is missing or failed."""
+    """The C compiler for the compiled library (the DTW kernel and the grids) is missing or failed."""
 
 
 def _as_float_grid(values) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Exact windowed DTW, its band-constrained variant, and a path oracle.
 
 One kernel serves every evaluation: ``dtw_batch`` calls a small C kernel
-(``_kernel.c``, loaded through ctypes) that runs eight placements in
+(``dtw_lockstep`` in ``_kernel.c``, the package's compiled library, which
+also builds the search's grids) that runs eight placements in
 lockstep, row by row over each window row's column range (the whole row,
 or the slope-adjusted band around the straight line between window
 corners), with every DP cell one eight-lane vector loop. The pruned search
@@ -12,9 +13,9 @@ below, stays within it, and abandons a group once no column does.
 ``dtw_matrix_full`` (the brute-force table) is the same kernel on every
 placement, in fixed chunks.
 
-The kernel is compiled with ``cc`` on first use, not at import, and cached
-in this package's ``__pycache__`` under a hash of its source and flags; a
-missing or failing compiler raises ``KernelCompileError``.
+The library is compiled with ``cc`` on first use, not at import, and
+loaded through ctypes (``_native``); a missing or failing compiler raises
+``KernelCompileError``.
 
 The independent checks share no code with the kernel:
 ``dtw_path_oracle`` literally enumerates every warping path of a tiny
@@ -24,15 +25,8 @@ bitwise against a pure-Python rolling-row recurrence
 """
 from __future__ import annotations
 
-import ctypes
-import hashlib
 import math
-import os
-import shlex
-import subprocess
-import tempfile
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
@@ -41,10 +35,10 @@ from .core import (
     IndexOutOfRange,
     InstanceTooLarge,
     InvalidSpec,
-    KernelCompileError,
     WarpingPath,
     WindowTooLarge,
 )
+from ._native import _kernel
 from .metrics import _entries
 
 _ORACLE_MAX_WINDOW = 8
@@ -182,65 +176,9 @@ def window_cells(omega_u: int, omega_w: int, radius: int | None = None) -> int:
     return int((hi - lo + 1).sum())
 
 
-# The kernel's whole build command, less its output and input files.
-# -ffast-math would change how infinities and minima behave, and
-# -march=native would tie the cached library to one CPU.
-_COMPILE = ("cc", "-O3", "-shared", "-fPIC")
-# Where built kernels are kept, one file per hash of source and command.
-_CACHE_DIR = Path(__file__).with_name("__pycache__")
-_SOURCE = Path(__file__).with_name("_kernel.c")
 # Placements per dtw_batch call in dtw_matrix_full; it bounds the memory of
 # their start-index arrays.
 _FULL_CHUNK = 16384
-
-
-def _library_path(source: bytes) -> Path:
-    """The cached library built from these source bytes with _COMPILE."""
-    key = hashlib.sha256(source + b"\0" + "\0".join(_COMPILE).encode()).hexdigest()[:16]
-    return _CACHE_DIR / f"_kernel-{key}.so"
-
-
-def _build(path: Path) -> None:
-    """Compile _SOURCE to path, through a temporary file in the same directory.
-
-    The finished library is moved into place by one rename, so a process
-    that builds it at the same time never loads a half-written file.
-    """
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(prefix=path.stem + "-", suffix=".tmp", dir=path.parent)
-    except OSError as exc:
-        raise KernelCompileError(f"cannot write the DTW kernel to {path.parent}: {exc}") from exc
-    os.close(fd)
-    command = [*_COMPILE, "-o", tmp, str(_SOURCE)]
-    try:
-        try:
-            done = subprocess.run(command, capture_output=True, text=True, check=False)
-        except OSError as exc:
-            raise KernelCompileError(f"building the DTW kernel with `{shlex.join(command)}` failed: {exc}") from exc
-        if done.returncode != 0:
-            raise KernelCompileError(
-                f"building the DTW kernel with `{shlex.join(command)}` exited with {done.returncode}:\n{done.stderr}"
-            )
-        os.chmod(tmp, 0o755)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
-@lru_cache(maxsize=None)
-def _kernel():
-    """The compiled kernel function and its lane count, built on first use."""
-    path = _library_path(_SOURCE.read_bytes())
-    if not path.exists():
-        _build(path)
-    lib = ctypes.CDLL(str(path))
-    fn = lib.dtw_lockstep
-    i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    fn.argtypes = [ptr, i64, i64, i64, ptr, ptr, ptr, ptr, i64, ptr, i64, ctypes.c_double, ptr, ptr]
-    fn.restype = i64
-    return fn, ctypes.c_int.in_dll(lib, "dtw_lanes").value
 
 
 def dtw_batch(m, omega_u: int, omega_w: int, a0, b0, *, radius: int | None = None, threshold=None, pool=None):
@@ -294,10 +232,10 @@ def dtw_batch(m, omega_u: int, omega_w: int, a0, b0, *, radius: int | None = Non
         if pool.shape != (n, cols - omega_w + 1):
             raise InvalidSpec(f"min-pool grid of shape {pool.shape} does not fit matrix {arr.shape}")
         pool_ptr, pcols, limit = pool.ctypes.data, pool.shape[1], float(threshold)
-    kernel, lanes = _kernel()
+    lib, lanes = _kernel()
     out = np.empty(a0.size)
     work = np.empty((2 * (omega_w + 1) + omega_u) * lanes)
-    cells = kernel(
+    cells = lib.dtw_lockstep(
         arr.ctypes.data, cols, omega_u, omega_w, lo.ctypes.data, hi.ctypes.data, a0.ctypes.data,
         b0.ctypes.data, a0.size, pool_ptr, pcols, limit, work.ctypes.data, out.ctypes.data,
     )

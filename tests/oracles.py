@@ -1,7 +1,9 @@
-"""Independent brute-force reference implementations used only by tests.
+"""Independent reference implementations used only by tests.
 
-Everything here is a literal loop over definitions, deliberately sharing
-no code with the package internals it checks.
+Most are literal loops over definitions. The blocked numpy versions of
+the distance matrix, the min-pool and the window sums are the references
+the compiled grids must equal bitwise: each adds the same terms in the
+same order. Nothing here shares code with the package internals it checks.
 """
 import math
 
@@ -35,6 +37,86 @@ def naive_distance_matrix(u_vals, w_vals):
     for i in range(u.shape[0]):
         for j in range(w.shape[0]):
             out[i, j] = math.sqrt(sum((a - b) ** 2 for a, b in zip(u[i], w[j])))
+    return out
+
+
+def blocked_distance_matrix(u_vals, w_vals):
+    """The numpy distance matrix the compiled one must equal bitwise.
+
+    In blocks of 16 rows: squares of u_ik - w_jk summed in dimension order
+    from 0.0, then one square root, each a separately rounded numpy step.
+    """
+    u = np.asarray(u_vals, dtype=np.float64)
+    cols = np.ascontiguousarray(np.asarray(w_vals, dtype=np.float64).T)
+    entries = np.empty((u.shape[0], cols.shape[1]))
+    for lo in range(0, u.shape[0], 16):
+        rows = entries[lo : lo + 16]
+        rows.fill(0.0)
+        for k in range(u.shape[1]):
+            diff = u[lo : lo + 16, k, None] - cols[k]
+            rows += np.square(diff, out=diff)
+        np.sqrt(rows, out=rows)
+    return entries
+
+
+def doubling_min_pool(m, omega_w):
+    """The numpy min-pool the compiled one must equal bitwise.
+
+    Doubling window widths up to the largest power of two p <= omega_w,
+    then two overlapping p-windows offset by omega_w - p.
+    """
+    arr = np.asarray(m, dtype=np.float64)
+    keep = arr.shape[1] - omega_w + 1
+    rows, width = arr, 1
+    while 2 * width <= omega_w:
+        rows = np.minimum(rows[:, :-width], rows[:, width:])
+        width *= 2
+    return np.minimum(rows[:, :keep], rows[:, omega_w - width :])
+
+
+def block_window_sums(out, g, length, step):
+    """The numpy window sums the compiled ones must equal bitwise.
+
+    out[i, j] += sum(g[i + t, j + step*t] for t < length). In blocks of
+    `length` rows, the window from row r is the suffix running sum of its
+    block from r plus the prefix running sum of the next block's first r
+    rows (van Herk 1992; Gil & Werman 1993): out = (out + suffix) + prefix.
+    """
+    rows, cols = out.shape
+    width = cols + step * (length - 1)
+    suffix, prefix = np.zeros((2, length, width))
+    g_head, suf_head, suf_tail = g[:, : width - step], suffix[:, : width - step], suffix[:, step:]
+    g_tail, pre_head, pre_tail = g[:, step:width], prefix[:, : width - step], prefix[:, step:]
+    for lo in range(0, rows, length):
+        n, nxt = min(length, rows - lo), lo + length
+        suffix[-1] = g[nxt - 1, :width]
+        for r in range(length - 2, -1, -1):
+            np.add(g_head[lo + r], suf_tail[r + 1], out=suf_head[r])
+        out[lo : lo + n] += suffix[:n, :cols]
+        if n > 1:
+            prefix[0] = g[nxt, :width]
+            for s in range(1, n - 1):
+                np.add(pre_head[s - 1], g_tail[nxt + s], out=pre_tail[s])
+            out[lo + 1 : lo + n] += prefix[: n - 1, width - cols :]
+
+
+def block_path_sums(g, path, shape):
+    """out[i, j] = sum of g[i + p, j + path[p]] over p, from zeros, by block_window_sums per straight segment.
+
+    A segment is a maximal run of rows entered by the same column step, the
+    first row by a step of 1, as upper_bound_matrix splits its path: this is
+    the numpy upper bound the compiled one must equal bitwise.
+    """
+    g = np.asarray(g, dtype=np.float64)
+    steps = [1] + [q - p for p, q in zip(path, path[1:])]
+    out = np.zeros(shape)
+    p = 0
+    while p < len(path):
+        end = p + 1
+        while end < len(path) and steps[end] == steps[p]:
+            end += 1
+        block_window_sums(out, g[p:, path[p] :], end - p, steps[p])
+        p = end
     return out
 
 

@@ -15,7 +15,11 @@ from dtwsearch import (
     upper_bound_matrix,
     upper_bound_path,
 )
+from dtwsearch.bounds import _STRIP, _add_window_sums
 from oracles import (
+    block_path_sums,
+    block_window_sums,
+    doubling_min_pool,
     fixed_upper_path,
     fsum_path_sums,
     in_band,
@@ -230,6 +234,67 @@ def test_window_sums_are_accurate_to_the_window_at_any_magnitude(magnitude):
             checks.append((up, fsum_path_sums(mat, upper_bound_path(wu, ww, radius).tolist(), up.shape)))
         for got, exact in checks:
             assert np.all(np.abs(got - exact) <= tol * exact)
+
+
+# (rows, cols, length): rows below, at and past the window and not a multiple
+# of it; one-row windows; out narrower than a strip and several strips wide.
+WINDOW_SUM_SHAPES = [
+    (1, 1, 1),
+    (5, 3, 1),
+    (3, 7, 8),
+    (17, 40, 4),
+    (16, 9, 4),
+    (40, _STRIP + 37, 13),
+    (9, 2 * _STRIP + 5, 30),
+]
+
+
+@pytest.mark.parametrize("magnitude", [1.0, 1e3, 1e7])
+@pytest.mark.parametrize("step", [0, 1])
+@pytest.mark.parametrize("rows, cols, length", WINDOW_SUM_SHAPES)
+def test_window_sums_equal_the_numpy_blocks_bitwise(rows, cols, length, step, magnitude):
+    # g is a view into a wider grid, so rows are read through a stride that
+    # is not the row's width; out is added to, and written fresh.
+    rng = np.random.default_rng(rows * 1000 + cols + length)
+    width = cols + step * (length - 1)
+    grid = rng.uniform(0, magnitude, size=(rows + length + 2, width + 11))
+    g = grid[1:, 5 : 5 + width + 3]
+    before = rng.uniform(0, magnitude, size=(rows, cols))
+    for fresh in (False, True):
+        got = np.empty((rows, cols)) if fresh else before.copy()
+        expected = np.zeros((rows, cols)) if fresh else before.copy()
+        _add_window_sums(got, g, length, step, fresh)
+        block_window_sums(expected, g, length, step)
+        assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("magnitude", [1.0, 1e4, 1e7])
+def test_bound_grids_equal_the_numpy_references_bitwise(rng, magnitude):
+    # Grids of 1 to 3 strips, every window shape from one cell up, banded or not.
+    for _ in range(30):
+        wu = int(rng.integers(1, 40))
+        ww = int(rng.integers(1, wu + 1))
+        n, m = wu + int(rng.integers(0, 50)), ww + int(rng.integers(0, 3 * _STRIP))
+        mat = rng.uniform(0, magnitude, size=(n, m))
+        pool = min_pool(mat, ww)
+        assert pool.tobytes() == doubling_min_pool(mat, ww).tobytes()
+        low = np.zeros((n - wu + 1, pool.shape[1]))
+        block_window_sums(low, pool, wu, 0)
+        assert lower_bound_matrix(pool, wu).tobytes() == low.tobytes()
+        for radius in (None, 1, 2, 5):
+            path = upper_bound_path(wu, ww, radius).tolist()
+            expected = block_path_sums(mat, path, (n - wu + 1, m - ww + 1))
+            assert upper_bound_matrix(mat, wu, ww, radius).tobytes() == expected.tobytes()
+
+
+def test_window_sums_refuse_grids_they_do_not_fit():
+    g = np.zeros((10, 10))
+    with pytest.raises(ValueError):
+        _add_window_sums(np.empty((4, 4)), g, 8, 0, True)  # needs 11 rows of g
+    with pytest.raises(ValueError):
+        _add_window_sums(np.empty((4, 4)), g[:, :6], 4, 1, True)  # a diagonal of 4 needs 7 columns
+    with pytest.raises(ValueError):
+        _add_window_sums(np.empty((4, 4)), g[:, ::2], 4, 0, True)  # columns are not adjacent
 
 
 def test_sandwich_check_raises_only_past_the_slack():

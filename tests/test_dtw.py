@@ -16,8 +16,9 @@ from dtwsearch import (
 )
 from dtwsearch.bounds import min_pool
 from dtwsearch.core import prune_limit
-from dtwsearch import dtw
-from dtwsearch.dtw import _FULL_CHUNK, _kernel, window_cells
+from dtwsearch import _native
+from dtwsearch._native import _kernel
+from dtwsearch.dtw import _FULL_CHUNK, window_cells
 from oracles import naive_dtw
 
 WORKED = np.array([[0.0, 2.0], [1.0, 1.0], [3.0, 1.0]])
@@ -323,15 +324,15 @@ def fresh_kernel():
 
 
 def test_missing_compiler_raises_and_names_the_command(monkeypatch, tmp_path, fresh_kernel):
-    monkeypatch.setattr(dtw, "_COMPILE", ("no-such-cc-for-dtwsearch", "-O3", "-shared", "-fPIC"))
-    monkeypatch.setattr(dtw, "_CACHE_DIR", tmp_path)
+    monkeypatch.setattr(_native, "_COMPILE", ("no-such-cc-for-dtwsearch", "-O3", "-shared", "-fPIC"))
+    monkeypatch.setattr(_native, "_CACHE_DIR", tmp_path)
     with pytest.raises(KernelCompileError, match="no-such-cc-for-dtwsearch -O3 -shared -fPIC"):
         dtw_batch(WORKED, 2, 2, [0], [0])
     assert list(tmp_path.iterdir()) == []
 
 
 def test_cached_kernel_is_loaded_without_compiling(monkeypatch, tmp_path, fresh_kernel):
-    monkeypatch.setattr(dtw, "_CACHE_DIR", tmp_path)
+    monkeypatch.setattr(_native, "_CACHE_DIR", tmp_path)
     assert dtw_batch(WORKED, 2, 2, [0], [0])[0][0] == 1.0
     built = list(tmp_path.iterdir())
     assert [p.suffix for p in built] == [".so"]
@@ -340,16 +341,16 @@ def test_cached_kernel_is_loaded_without_compiling(monkeypatch, tmp_path, fresh_
     def no_compiler(*args, **kwargs):
         raise AssertionError("the cached kernel was compiled again")
 
-    monkeypatch.setattr(dtw.subprocess, "run", no_compiler)
+    monkeypatch.setattr(_native.subprocess, "run", no_compiler)
     assert dtw_batch(WORKED, 2, 2, [1], [0])[0][0] == 2.0
     assert list(tmp_path.iterdir()) == built
 
 
 def test_kernel_file_name_keys_source_and_command(monkeypatch):
-    source = dtw._SOURCE.read_bytes()
-    path = dtw._library_path(source)
-    assert path.parent == dtw._CACHE_DIR
-    assert dtw._library_path(source) == path
-    assert dtw._library_path(source + b"\n") != path
-    monkeypatch.setattr(dtw, "_COMPILE", dtw._COMPILE + ("-g",))
-    assert dtw._library_path(source) != path
+    source = _native._SOURCE.read_bytes()
+    path = _native._library_path(source)
+    assert path.parent == _native._CACHE_DIR
+    assert _native._library_path(source) == path
+    assert _native._library_path(source + b"\n") != path
+    monkeypatch.setattr(_native, "_COMPILE", _native._COMPILE + ("-g",))
+    assert _native._library_path(source) != path

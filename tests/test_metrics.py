@@ -19,7 +19,7 @@ from dtwsearch import (
     distance_matrix,
     z_normalize,
 )
-from oracles import naive_distance_matrix, point_distance
+from oracles import blocked_distance_matrix, naive_distance_matrix, point_distance
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 
@@ -83,6 +83,17 @@ def test_distance_matrix_is_the_sum_of_squares_bitwise(dims, n, m):
     got = distance_matrix(TimeSeries(values=uv), TimeSeries(values=wv)).entries
     assert np.array_equal(got, expected)
     assert not got.flags.writeable
+
+
+@pytest.mark.parametrize("magnitude", [1.0, 1e3, 1e5, 1e7])
+@pytest.mark.parametrize("dims", [1, 2, 3, 4])
+def test_distance_matrix_equals_the_numpy_blocks_bitwise(dims, magnitude):
+    rng = np.random.default_rng(dims)
+    for n, m in ((1, 1), (1, 9), (17, 3), (40, 301)):
+        uv = rng.normal(scale=magnitude, size=(n, dims))
+        wv = rng.normal(scale=magnitude, size=(m, dims))
+        got = distance_matrix(TimeSeries(values=uv), TimeSeries(values=wv)).entries
+        assert got.tobytes() == blocked_distance_matrix(uv, wv).tobytes()
 
 
 def test_distance_matrix_copies_a_borrowed_grid():

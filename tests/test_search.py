@@ -20,7 +20,9 @@ from dtwsearch import (
     top_k_search,
     topk_to_json_list,
 )
+from dtwsearch.core import prune_limit
 from dtwsearch.dtw import window_cells
+from dtwsearch.search import Candidates, _evaluate
 from oracles import naive_dtw
 
 U3 = TimeSeries(values=[0.0, 1.0, 3.0])
@@ -227,6 +229,26 @@ def test_prune_pad_scales_with_magnitude(seed, magnitude, omega_w, radius):
     assert any(a == 241 for a, _ in bf.solutions)  # the reversed window is optimal
     assert sp.solutions == bf.solutions
     assert sp.shortest_dist == bf.shortest_dist
+
+
+def test_redo_reruns_a_placement_inside_the_scaled_pad():
+    # An earlier round abandoned placement (31, 41) (d is +inf there); its
+    # lower bound sits above the threshold by more than the absolute 1e-9
+    # but within prune_limit's pad, which is about 1e-5 at distances near
+    # 1e7. It is the exact twin of the incumbent (1, 1), so re-run it must
+    # come back finite and equal. An absolute pad would leave it +inf.
+    rng = np.random.default_rng(0)
+    wu, ww = 20, 16
+    mat = rng.uniform(0.0, 1e6, size=(60, 70))
+    mat[30 : 30 + wu, 40 : 40 + ww] = mat[:wu, :ww]
+    bm = compute_bounds(mat, wu, ww)
+    best = naive_dtw(mat, wu, ww, (1, 1))
+    lb = best + (prune_limit(best) - best) / 2
+    assert best + 1e-9 < lb <= prune_limit(best)
+    cands = Candidates(a=np.array([1, 31]), b=np.array([1, 41]), lower_bounds=np.array([best / 2, lb]))
+    d, thr, cells = _evaluate(mat, wu, ww, cands, bm, 1, np.inf, None, d=np.array([best, np.inf]))
+    assert thr == best and cells > 0
+    assert d.tolist() == [best, best]
 
 
 def twin_motif_pair(rng, n=110, m=90, motif_len=24):
