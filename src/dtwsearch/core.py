@@ -214,8 +214,8 @@ class SearchStats:
     The stage timings split runtime_ms: normalize_ms (validation, z-score
     and the orientation swap), distance_ms (the pointwise distance matrix),
     bounds_ms (the min-pool, lower- and upper-bound grids), candidates_ms
-    (the prune threshold, filter and sort) and evaluate_ms (exact DTW and
-    ranking). A stage an entry point does not run stays 0.0.
+    (the prune threshold and the filter) and evaluate_ms (the seed, exact
+    DTW and ranking). A stage an entry point does not run stays 0.0.
 
     The field order is the order of the result JSON's stats and of the
     bench CSV's columns.

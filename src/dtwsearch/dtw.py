@@ -6,9 +6,10 @@ also builds the search's grids) that runs eight placements in
 lockstep, row by row over each window row's column range (the whole row,
 or the slope-adjusted band around the straight line between window
 corners), with every DP cell one eight-lane vector loop. The pruned search
-calls it on chunks of candidates; given a threshold it trims each row to
-the columns where some placement's value, plus the pool minima of the rows
-below, stays within it, and abandons a group once no column does.
+calls it on its seed and then on chunks of candidates in start order;
+given a threshold it trims each row to the columns where some
+placement's value, plus the pool minima of the rows below, stays within
+it, and abandons a group once no column does.
 ``dtw_windowed`` is the same kernel on one placement, and
 ``dtw_matrix_full`` (the brute-force table) is the same kernel on every
 placement, in fixed chunks.

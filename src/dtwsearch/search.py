@@ -1,26 +1,29 @@
 """Pruned top-k search for the most similar subsequence pairs, and brute force.
 
-The pruned search evaluates exact DTW only on placements whose lower
-bound does not exceed a threshold, in ascending lower-bound order, and
-stops at the first candidate whose lower bound exceeds it. The threshold
-starts at the k-th smallest upper bound and falls to the k-th best
-distance found. Because the lower bound never overshoots the true
-distance and the upper bound never undershoots it, every placement among
-the k best is evaluated exactly, so the ranking provably equals the
-brute-force one. The single optimum is the case k=1: its tie set is
-every evaluated placement within the tie tolerance of the smallest
-distance, again equal to brute force's.
+The pruned search keeps the placements whose lower bound does not exceed
+the k-th smallest upper bound. It evaluates exact DTW first on a seed,
+the candidates with the smallest lower bounds, as the UCR suite seeds its
+best-so-far (Rakthanmanon et al., KDD 2012), then walks the others once
+in start order and skips each whose lower bound exceeds the threshold:
+the k-th best distance found, or that upper bound until k are found. The
+threshold never falls below the final k-th distance and the lower bound
+never overshoots the true distance, so every placement among the k best
+is evaluated exactly and the ranking provably equals the brute-force
+one. The single optimum is the case k=1: its tie set is every evaluated
+placement within the tie tolerance of the smallest distance, again equal
+to brute force's.
 
-Candidates go in growing chunks through the batch kernel, each chunk in
-start order. The kernel skips a DP cell when, for every placement in its
-group, the cell's value plus the pool minima of the rows below exceeds
-the threshold, and returns +inf for a distance above it. That sum is a
-lower bound on the cost of any path through the cell, so a placement
-that can be among the k best is computed exactly. Every threshold
-comparison is padded by ``prune_limit``: the tie tolerance plus a share
-of the threshold's magnitude, since a bound and its distance round
-differently once the sums grow large. So a placement tied with the k-th
-best is never pruned, skipped or abandoned, at any scale of the input.
+The walk feeds the batch kernel fixed chunks, each in start order, and
+lowers the threshold after each. The kernel skips a DP cell when, for
+every placement in its group, the cell's value plus the pool minima of
+the rows below exceeds the threshold, and returns +inf for a distance
+above it. That sum is a lower bound on the cost of any path through the
+cell, so a placement that can be among the k best is computed exactly.
+Every threshold comparison is padded by ``prune_limit``: the tie
+tolerance plus a share of the threshold's magnitude, since a bound and
+its distance round differently once the sums grow large. So a placement
+tied with the k-th best is never pruned, skipped or abandoned, at any
+scale of the input.
 """
 from __future__ import annotations
 
@@ -43,8 +46,10 @@ from .bounds import BoundMatrices, compute_bounds
 from .dtw import dtw_batch, dtw_matrix_full, window_cells
 from .metrics import distance_matrix, z_normalize
 
-_FIRST_CHUNK = 64
-_MAX_CHUNK = 4096
+# The seed is the max(_SEED_MIN, _SEED_PER_K * k) smallest lower bounds; 4 per
+# k computed the fewest DP cells on six k=1000 searches (see CHANGES.md).
+_SEED_MIN, _SEED_PER_K = 16, 4
+_CHUNK = 4096  # candidates per step of the start-order walk
 
 
 @dataclass(frozen=True)
@@ -110,7 +115,7 @@ class _Stages:
 
 
 class Candidates:
-    """Placements surviving the bound prune, ascending by lower bound.
+    """Placements surviving the bound prune, in start order: (a, b) strictly increasing.
 
     Flat arrays of 1-based starts ``a``, ``b`` and their lower bounds.
     """
@@ -129,69 +134,70 @@ class Candidates:
 
 
 def find_candidates(bm: BoundMatrices, *, threshold: float) -> Candidates:
-    """Placements whose lower bound does not exceed the prune threshold.
+    """Placements whose lower bound does not exceed the prune threshold, in start order.
 
     The comparison is padded by ``prune_limit`` so summation rounding can
     never drop a placement tied at the threshold, whatever the magnitude of
-    the distances. Sorted ascending by lower bound, ties by (a, b).
+    the distances.
     """
     flat = bm.min_path.ravel()
-    idx = np.flatnonzero(flat <= prune_limit(threshold))
-    idx = idx[np.argsort(flat[idx], kind="stable")]  # flatnonzero lists (a, b) in row-major order
-    a, b = np.divmod(idx, bm.shape[1])
-    a += 1  # in place: each index array is as long as the survivors
+    idx = np.flatnonzero(flat <= prune_limit(threshold))  # row-major: ascending (a, b)
+    lower = flat[idx]
+    a, b = np.divmod(idx, bm.shape[1], out=(idx, np.empty_like(idx)))  # a reuses idx's memory
+    a += 1
     b += 1
-    return Candidates(a=a, b=b, lower_bounds=flat[idx])
+    return Candidates(a=a, b=b, lower_bounds=lower)
 
 
 def _evaluate(m, omega_u, omega_w, cands: Candidates, bm: BoundMatrices, k, bound, radius, d=None):
-    """Exact DTW of candidates in lower-bound order, under a moving threshold.
+    """Exact DTW of the candidates that can rank, under a falling threshold.
 
     The threshold is the smaller of ``bound`` and the k-th smallest
-    distance found so far; evaluation stops at the first candidate whose
-    lower bound exceeds it. Returns (d, threshold, dp_cells), where d[i] is
-    the distance of candidate i over the evaluated prefix of ``cands``, or
-    +inf for a placement abandoned because its distance exceeds the
-    threshold it was evaluated under.
+    distance found so far. The seed, the max(_SEED_MIN, _SEED_PER_K * k)
+    candidates with the smallest lower bounds, goes first; then the walk
+    takes the others in start order, ``_CHUNK`` at a time, skips each whose
+    lower bound exceeds the threshold, and lowers it after each chunk.
+    Returns (d, threshold, dp_cells): d[i] is candidate i's distance, +inf
+    where abandoned above the threshold it ran under, nan where skipped.
 
-    ``d`` continues an earlier call whose candidates are a prefix of these,
-    found under a lower bound; placements it abandoned are evaluated again
-    when the threshold now admits them.
+    ``d`` carries an earlier call's distances, aligned with these
+    candidates (nan where not evaluated); a carried +inf runs again when
+    the threshold admits its lower bound.
     """
     lbs = cands.lower_bounds
-    a0, b0 = cands.a - 1, cands.b - 1
-    d = np.empty(0) if d is None else d
-    cells = 0
+    d = np.full(lbs.size, np.nan) if d is None else np.where(np.isinf(d), np.nan, d)
+    thr, top, cells = bound, np.empty(0), 0
 
-    def batch(idx):
-        # In start order, neighbouring placements share a lane group and their
-        # live columns, so the kernel trims more of each row. The threshold is
-        # fixed within a batch, so the order changes no result.
+    def lower(found):
+        # top holds the k smallest distances at or below the threshold (or
+        # all of them while fewer); the k-th of them is the new threshold.
+        nonlocal thr, top
+        top = np.concatenate((top, found[found <= thr]))
+        if top.size >= k:
+            top = np.partition(top, k - 1)[:k]
+            thr = float(top[-1])
+
+    def pending(part):
+        # Not yet evaluated, and the threshold admits the lower bound.
+        return np.isnan(d[part]) & (lbs[part] <= prune_limit(thr))
+
+    def run(idx):
+        # idx ascends, so neighbouring placements share a lane group and
+        # their live columns, and the kernel trims more of each row.
         nonlocal cells
-        a, b = a0[idx], b0[idx]
-        order = np.lexsort((b, a))
-        out = np.empty(a.size)
-        out[order], c = dtw_batch(
-            m, omega_u, omega_w, a[order], b[order], radius=radius, threshold=prune_limit(thr), pool=bm.min_pool
-        )
-        cells += c
-        return out
+        if idx.size:
+            a0, b0, limit = cands.a[idx] - 1, cands.b[idx] - 1, prune_limit(thr)
+            d[idx], c = dtw_batch(m, omega_u, omega_w, a0, b0, radius=radius, threshold=limit, pool=bm.min_pool)
+            cells += c
+            lower(d[idx])
 
-    def kth(values):
-        return bound if values.size < k else min(bound, _kth_smallest(values, k))
-
-    thr = kth(d)
-    redo = np.flatnonzero(np.isinf(d) & (lbs[: d.size] <= prune_limit(thr)))
-    if redo.size:
-        d = d.copy()
-        d[redo] = batch(redo)
-        thr = kth(d)
-    chunk = _FIRST_CHUNK
-    while (pos := d.size) < lbs.size and lbs[pos] <= (limit := prune_limit(thr)):
-        end = pos + int(np.searchsorted(lbs[pos : pos + chunk], limit, side="right"))
-        d = np.concatenate((d, batch(slice(pos, end))))
-        thr = kth(d)
-        chunk = min(chunk * 4, _MAX_CHUNK)
+    lower(d)
+    seeds = max(_SEED_MIN, _SEED_PER_K * k)
+    if seeds < lbs.size:
+        seed = np.sort(np.argpartition(lbs, seeds - 1)[:seeds])
+        run(seed[pending(seed)])
+    for pos in range(0, lbs.size, _CHUNK):
+        run(pos + np.flatnonzero(pending(slice(pos, pos + _CHUNK))))
     return d, thr, cells
 
 
@@ -204,8 +210,11 @@ def _spread(ranked: np.ndarray, a: np.ndarray, b: np.ndarray, shape, exclusion: 
     """The first k of ``ranked`` farther than ``exclusion`` (Chebyshev) from every earlier pick.
 
     ``ranked`` indexes the 1-based starts ``a``, ``b``. Each pick blocks
-    its square on a placement grid, so every test is one lookup.
+    its square on a placement grid, so every test is one lookup. Without
+    exclusion nothing is blocked, so the picks are the first k.
     """
+    if exclusion == 0:
+        return ranked[:k]
     blocked = np.zeros(shape, dtype=bool)
     picked = []
     for i, x, y in zip(ranked.tolist(), (a[ranked] - 1).tolist(), (b[ranked] - 1).tolist()):
@@ -243,8 +252,8 @@ def _start(u: TimeSeries, w: TimeSeries, wp: WindowPair, opts: SearchOptions):
 class _Ranking:
     """What one pruned search found.
 
-    ``d`` holds the distances of the evaluated prefix of the last round's
-    candidates (+inf where abandoned), ``a`` and ``b`` their internal
+    ``d`` holds the distances of the last round's candidates (+inf where
+    abandoned, nan where never evaluated), ``a`` and ``b`` their internal
     1-based starts, ``ra`` and ``rb`` the same starts in the caller's
     orientation, and ``chosen`` the indices into ``d`` of the ranked picks.
     """
@@ -269,7 +278,7 @@ class _Ranking:
         return SearchStats(
             pairs_total=int(self.bm.min_path.size),
             pairs_after_prune=self.pairs_after_prune,
-            dtw_evaluations=self.d.size,
+            dtw_evaluations=self.d.size - int(np.count_nonzero(np.isnan(self.d))),
             dp_cells=self.dp_cells,
             lb_tightness=lower / distance if distance > 0 else 1.0,
             peak_grid_bytes=sum(g.nbytes for g in (self.m, self.bm.min_pool, self.bm.min_path, self.bm.max_path)),
@@ -290,19 +299,26 @@ def _rank(u: TimeSeries, w: TimeSeries, wp: WindowPair, k: int, opts: SearchOpti
     # raises the distance threshold to the kk-th smallest upper bound and
     # ranks every placement at or below it; kk reaching every placement
     # makes the threshold the largest upper bound, which ranks them all.
+    # Each round's candidates contain the previous round's, both in start
+    # order, so the distances found carry over by flat index.
     kk = need = k
-    d = None
+    d = cands = None
     cells = 0
     while True:
         bound = _kth_smallest(bm.max_path, kk)
-        cands = find_candidates(bm, threshold=bound)
+        prev, cands = cands, find_candidates(bm, threshold=bound)
         clock.lap("candidates_ms")
+        if prev is not None:
+            cols = bm.shape[1]
+            carried = np.full(len(cands), np.nan)
+            carried[np.searchsorted(cands.a * cols + cands.b, prev.a * cols + prev.b)] = d
+            d = carried
         d, kth, c = _evaluate(m.entries, wu, ww, cands, bm, need, bound, opts.band_radius, d)
         cells += c
-        a, b = cands.a[: d.size], cands.b[: d.size]
+        a, b = cands.a, cands.b
         ra, rb = (b, a) if swapped else (a, b)
         # Every placement with distance <= kth was evaluated exactly, so
-        # ranking this prefix is exact.
+        # this ranking is exact.
         ranked = np.flatnonzero(d <= kth + TIE_TOLERANCE)
         ranked = ranked[np.lexsort((rb[ranked], ra[ranked], d[ranked]))]
         chosen = _spread(ranked, a, b, bm.shape, opts.exclusion, k)
@@ -342,7 +358,7 @@ def infer_most_similar(
     """
     opts = options or SearchOptions()
     run = _rank(u, w, wp, 1, opts)
-    shortest = float(run.d.min())
+    shortest = float(run.d[run.chosen[0]])
     tied = np.flatnonzero(run.d <= shortest + TIE_TOLERANCE)
     solutions = frozenset(zip(run.ra[tied].tolist(), run.rb[tied].tolist()))
     first = int(tied[np.lexsort((run.b[tied], run.a[tied]))[0]])  # the smallest tied internal pair
@@ -398,17 +414,16 @@ def top_k_search(
     and flagged.
 
     With exclusion > 0, matches within the given Chebyshev distance of an
-    already-accepted match are suppressed; the evaluated prefix is grown
-    until k survivors exist or placements run out.
+    already-accepted match are suppressed; the ranked placements grow by
+    rounds until k survivors exist or placements run out.
     """
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise InvalidSpec(f"k must be a positive integer, got {k!r}")
     run = _rank(u, w, wp, int(k), options or SearchOptions())
-    matches = tuple(
-        RankedMatch(a=int(run.ra[i]), b=int(run.rb[i]), distance=float(run.d[i]), rank=r + 1)
-        for r, i in enumerate(run.chosen.tolist())
-    )
-    top = int(run.chosen[0])  # the first ranked placement is always chosen
+    picks = run.chosen
+    columns = (run.ra[picks].tolist(), run.rb[picks].tolist(), run.d[picks].tolist(), range(1, picks.size + 1))
+    matches = tuple(map(RankedMatch, *columns))
+    top = int(picks[0])  # the first ranked placement is always chosen
     return TopKResult(matches=matches, truncated=len(matches) < k, stats=run.stats(top, float(run.d[top])))
 
 

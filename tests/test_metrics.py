@@ -119,6 +119,20 @@ def test_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_import_builds_and_loads_no_library():
+    # Start-up time is part of every command: the library is built or loaded on first use only.
+    src = str(Path(dtwsearch.__file__).resolve().parents[1])
+    code = "import dtwsearch, dtwsearch._native as n; print(n._kernel.cache_info().currsize)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout.strip() == "0"
+
+
 @given(st.lists(st.tuples(finite, finite), min_size=3, max_size=3))
 def test_point_distance_triangle_inequality(points):
     a, b, c = (np.array(p) for p in points)

@@ -22,6 +22,7 @@ from dtwsearch import (
 )
 from dtwsearch.core import prune_limit
 from dtwsearch.dtw import window_cells
+from dtwsearch import search
 from dtwsearch.search import Candidates, _evaluate
 from oracles import naive_dtw
 
@@ -62,12 +63,16 @@ def test_find_candidates_planted_zero_diagonal_leaves_one():
     assert len(cands) == 1 and (cands.a[0], cands.b[0]) == (3, 5)
 
 
-def test_find_candidates_sorted_by_lower_bound(rng):
+def test_find_candidates_in_start_order(rng):
     mat = np.abs(rng.normal(size=(20, 18)))
     bm = compute_bounds(mat, 4, 3)
-    cands = find_candidates(bm, threshold=bm.max_path.min())
-    lbs = cands.lower_bounds
-    assert np.all(np.diff(lbs) >= 0)
+    threshold = bm.max_path.min()
+    cands = find_candidates(bm, threshold=threshold)
+    starts = list(zip(cands.a.tolist(), cands.b.tolist()))
+    assert all(p < q for p, q in zip(starts, starts[1:]))  # strictly increasing (a, b)
+    ii, jj = np.nonzero(bm.min_path <= prune_limit(threshold))
+    assert starts == sorted(zip((ii + 1).tolist(), (jj + 1).tolist()))
+    assert cands.lower_bounds.tolist() == [bm.min_path[a - 1, b - 1] for a, b in starts]
 
 
 def test_find_optimal_solutions_worked_example():
@@ -311,6 +316,56 @@ def test_abandoning_exclusion_equals_greedy_over_brute_ranking(rng):
     tk = top_k_search(u, w, wp, k, opts)
     assert [(m.distance, m.a, m.b) for m in tk.matches] == greedy_exclusion(ranking, 6, k)
     assert tk.stats.dp_cells < tk.stats.dtw_evaluations * window_cells(20, 16)
+
+
+def periodic_pair(rng):
+    """u is four copies of one noise block, w is noise: every placement has
+    twins 30 steps apart with the same distance, and the bound is loose."""
+    u = TimeSeries(values=np.tile(rng.normal(size=(30, 1)), (4, 1)))
+    return u, TimeSeries(values=rng.normal(size=(100, 1)))
+
+
+@pytest.mark.parametrize("radius", [None, 2])
+@pytest.mark.parametrize("exclusion", [0, 3])
+@pytest.mark.parametrize("k", [1, 50])
+def test_seeded_walk_equals_brute_force(rng, monkeypatch, k, exclusion, radius):
+    wp, opts = WindowPair(12, 9), SearchOptions(band_radius=radius, exclusion=exclusion)
+    u, w = periodic_pair(rng)
+    rounds = []
+
+    def counted(bm, **kw):
+        rounds.append(find_candidates(bm, **kw))
+        return rounds[-1]
+
+    monkeypatch.setattr(search, "find_candidates", counted)
+    tk = top_k_search(u, w, wp, k, opts)
+    # The walk crosses a chunk boundary after the seed.
+    assert len(rounds[0]) > max(search._SEED_MIN, search._SEED_PER_K * k) + search._CHUNK
+    if k == 50 and exclusion:
+        assert len(rounds) > 1  # a round that carries the first one's distances
+    ranking = brute_ranking(u, w, wp, SearchOptions(band_radius=radius))
+    assert [(m.distance, m.a, m.b) for m in tk.matches] == greedy_exclusion(ranking, exclusion, k)
+    if k == 1:
+        sp = infer_most_similar(u, w, wp, opts)
+        bf = brute_force_search(u, w, wp, opts)
+        assert len(bf.solutions) > 1
+        assert sp.solutions == bf.solutions
+        assert sp.shortest_dist == bf.shortest_dist == tk.matches[0].distance
+
+
+@pytest.mark.parametrize("seed", [1, 2, 7, 9, 10])
+def test_seeded_optimum_evaluates_only_what_its_bound_admits(seed):
+    # With the optimum among the seeds, the threshold is the optimum for the
+    # whole walk, so exactly the placements whose lower bound it admits are
+    # evaluated, though more survive the prune.
+    u, w = twin_motif_pair(np.random.default_rng(seed))
+    sp = infer_most_similar(u, w, WindowPair(20, 16))
+    lower = compute_bounds(distance_matrix(u, w), 20, 16).min_path
+    best = min(lower[a - 1, b - 1] for a, b in sp.solutions)
+    assert np.count_nonzero(lower <= best) <= search._SEED_MIN  # a tied optimum is a seed
+    admitted = np.count_nonzero(lower <= prune_limit(sp.shortest_dist))
+    assert admitted >= search._SEED_MIN  # and the optimum admits every seed
+    assert sp.stats.dtw_evaluations == admitted < sp.stats.pairs_after_prune
 
 
 def test_banded_search_matches_banded_brute(rng):
