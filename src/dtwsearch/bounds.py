@@ -23,7 +23,7 @@ import numpy as np
 
 from ._native import _kernel
 from .core import WindowOrderViolated, WindowTooLarge, prune_limit
-from .dtw import _resolve_ranges
+from .dtw import band_column_ranges
 from .metrics import _entries
 
 _BLOCK_ROWS = 16  # rows per pass of the sandwich check: a block and its temporaries stay in cache
@@ -155,7 +155,7 @@ def upper_bound_path(omega_u: int, omega_w: int, radius: int | None = None) -> n
     """
     if omega_u < omega_w:
         raise WindowOrderViolated(f"the upper-bound path requires omega_u >= omega_w, got ({omega_u}, {omega_w})")
-    lo, hi = _resolve_ranges(omega_u, omega_w, radius)
+    lo, hi = band_column_ranges(omega_u, omega_w, radius)
     rows = np.arange(omega_u)
     low = np.maximum(lo, rows - (omega_u - omega_w)).tolist()
     high = np.minimum(hi, rows).tolist()

@@ -103,13 +103,14 @@ def _as_float_grid(values) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeSeries:
     """A length x dims grid of finite real values.
 
     Rows are time steps, columns are feature dimensions. 1-D input is
     promoted to a single-column grid. Instances are immutable and safe to
-    share across workers.
+    share across workers. Equality and hashing are by identity; compare
+    ``values`` to compare contents.
     """
 
     values: np.ndarray
@@ -131,14 +132,6 @@ class TimeSeries:
     @property
     def dims(self) -> int:
         return self.values.shape[1]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TimeSeries):
-            return NotImplemented
-        return self.values.shape == other.values.shape and bool(np.all(self.values == other.values))
-
-    def __hash__(self):
-        return hash((self.values.shape, self.values.tobytes()))
 
 
 @dataclass(frozen=True)

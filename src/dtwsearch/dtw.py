@@ -75,14 +75,17 @@ def default_band_radius(omega_u: int, omega_w: int) -> int:
     return max(math.ceil(0.1 * max(omega_u, omega_w)), abs(omega_u - omega_w), 1)
 
 
-def band_column_ranges(omega_u: int, omega_w: int, radius: int):
+def band_column_ranges(omega_u: int, omega_w: int, radius: int | None):
     """Inclusive 0-based column range [lo[p], hi[p]] of each window row.
 
-    The band is |q - p * (omega_w-1)/max(omega_u-1, 1)| <= radius in
-    0-based window coordinates: a corridor of the given radius around the
-    straight line joining cell (0, 0) to cell (omega_u-1, omega_w-1).
-    Computed in integer arithmetic so membership is exact.
+    With radius None every row is whole. Otherwise the band is
+    |q - p * (omega_w-1)/max(omega_u-1, 1)| <= radius in 0-based window
+    coordinates: a corridor of the given radius around the straight line
+    joining cell (0, 0) to cell (omega_u-1, omega_w-1). Computed in
+    integer arithmetic so membership is exact.
     """
+    if radius is None:
+        return np.zeros(omega_u, dtype=np.int64), np.full(omega_u, omega_w - 1, dtype=np.int64)
     if not isinstance(radius, (int, np.integer)) or radius < 1:
         raise InvalidSpec(f"band radius must be an integer >= 1, got {radius!r}")
     d = max(omega_u - 1, 1)
@@ -163,17 +166,9 @@ def dtw_path_oracle(m, omega_u: int, omega_w: int, start):
     return float(sums[k]), WarpingPath(steps=steps)
 
 
-def _resolve_ranges(omega_u, omega_w, radius):
-    if radius is None:
-        lo = np.zeros(omega_u, dtype=np.int64)
-        hi = np.full(omega_u, omega_w - 1, dtype=np.int64)
-        return lo, hi
-    return band_column_ranges(omega_u, omega_w, radius)
-
-
 def window_cells(omega_u: int, omega_w: int, radius: int | None = None) -> int:
     """DP cells of one placement: the whole window, or the band's cells."""
-    lo, hi = _resolve_ranges(omega_u, omega_w, radius)
+    lo, hi = band_column_ranges(omega_u, omega_w, radius)
     return int((hi - lo + 1).sum())
 
 
@@ -217,7 +212,7 @@ def dtw_batch(m, omega_u: int, omega_w: int, a0, b0, *, radius: int | None = Non
     if a0.size == 0:
         return np.empty(0), 0
     _check_window(arr, omega_u, omega_w, a0, b0)
-    lo, hi = _resolve_ranges(omega_u, omega_w, radius)
+    lo, hi = band_column_ranges(omega_u, omega_w, radius)
     # Whether the band connects the corners depends on the shape alone: each
     # row's band must start at most one column past the previous row's end.
     if radius is not None and not (np.all(lo[1:] <= hi[:-1] + 1) and hi[-1] == omega_w - 1):

@@ -27,12 +27,10 @@ class ConfusionCounts:
         object.__setattr__(self, "f1", 2.0 * p * r / (p + r) if p + r > 0 else 0.0)
 
 
-def _check_interval(name, interval, length):
+def _check_interval(name, interval):
     s, e = int(interval[0]), int(interval[1])
     if not 1 <= s <= e:
         raise IntervalOutOfBounds(f"{name} must satisfy 1 <= start <= end, got ({s},{e})")
-    if length is not None and e > length:
-        raise IntervalOutOfBounds(f"{name} end {e} exceeds series length {length}")
     return s, e
 
 
@@ -40,19 +38,18 @@ def _overlap(a, b) -> int:
     return max(0, min(a[1], b[1]) - max(a[0], b[0]) + 1)
 
 
-def score_intervals(
-    pred_u, pred_w, gt: GroundTruth, *, length_u: int | None = None, length_w: int | None = None
-) -> ConfusionCounts:
+def score_intervals(pred_u, pred_w, gt: GroundTruth) -> ConfusionCounts:
     """Confusion counts of predicted vs planted intervals.
 
     Time-step index sets of both series are pooled: a position counts as
     true positive when both prediction and ground truth cover it, in
-    either series. Intervals are 1-based inclusive (start, end) pairs.
+    either series. Intervals are 1-based inclusive (start, end) pairs
+    with 1 <= start <= end, else IntervalOutOfBounds.
     """
-    pu = _check_interval("pred_u", pred_u, length_u)
-    pw = _check_interval("pred_w", pred_w, length_w)
-    gu = _check_interval("gt.interval_u", gt.interval_u, length_u)
-    gw = _check_interval("gt.interval_w", gt.interval_w, length_w)
+    pu = _check_interval("pred_u", pred_u)
+    pw = _check_interval("pred_w", pred_w)
+    gu = _check_interval("gt.interval_u", gt.interval_u)
+    gw = _check_interval("gt.interval_w", gt.interval_w)
 
     tp = _overlap(pu, gu) + _overlap(pw, gw)
     pred_size = (pu[1] - pu[0] + 1) + (pw[1] - pw[0] + 1)

@@ -11,16 +11,17 @@ from .core import DimensionMismatch, SeriesTooShort, TimeSeries
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """n x m grid of pointwise distances between every pair of time steps."""
+    """n x m grid of pointwise distances between every pair of time steps.
+
+    ``entries`` is read-only; a grid the caller may still write is copied.
+    """
 
     entries: np.ndarray
-    n: int
-    m: int
 
     def __post_init__(self):
         arr = np.asarray(self.entries, dtype=np.float64)
-        if arr.shape != (self.n, self.m):
-            raise DimensionMismatch(f"entries shape {arr.shape} does not match ({self.n},{self.m})")
+        if arr.ndim != 2:
+            raise DimensionMismatch(f"entries must be a 2-D grid, got shape {arr.shape}")
         if arr.flags.writeable or not arr.flags.owndata:
             arr = arr.copy()  # the caller may still write this buffer
         arr.setflags(write=False)
@@ -42,7 +43,7 @@ def distance_matrix(u: TimeSeries, w: TimeSeries) -> DistanceMatrix:
     entries = np.empty((u.length, w.length))
     _kernel()[0].distance_rows(rows.ctypes.data, u.length, cols.ctypes.data, w.length, u.dims, entries.ctypes.data)
     entries.setflags(write=False)
-    return DistanceMatrix(entries=entries, n=u.length, m=w.length)
+    return DistanceMatrix(entries=entries)
 
 
 def z_normalize(x: TimeSeries) -> TimeSeries:

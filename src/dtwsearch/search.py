@@ -157,8 +157,10 @@ def _evaluate(m, omega_u, omega_w, cands: Candidates, bm: BoundMatrices, k, boun
     candidates with the smallest lower bounds, goes first; then the walk
     takes the others in start order, ``_CHUNK`` at a time, skips each whose
     lower bound exceeds the threshold, and lowers it after each chunk.
-    Returns (d, threshold, dp_cells): d[i] is candidate i's distance, +inf
-    where abandoned above the threshold it ran under, nan where skipped.
+    Returns (d, kth, dp_cells): d[i] is candidate i's distance, +inf
+    where abandoned above the threshold it ran under, nan where skipped;
+    kth is the k-th smallest distance found, or the threshold while fewer
+    than k are found within its pad.
 
     ``d`` carries an earlier call's distances, aligned with these
     candidates (nan where not evaluated); a carried +inf runs again when
@@ -169,13 +171,15 @@ def _evaluate(m, omega_u, omega_w, cands: Candidates, bm: BoundMatrices, k, boun
     thr, top, cells = bound, np.empty(0), 0
 
     def lower(found):
-        # top holds the k smallest distances at or below the threshold (or
-        # all of them while fewer); the k-th of them is the new threshold.
+        # top holds the k smallest distances within the padded threshold (or
+        # all of them while fewer). The k-th of them lowers the threshold, but
+        # may sit a rounding above it: the k-th upper bound and the k-th
+        # distance add the same costs in different orders.
         nonlocal thr, top
-        top = np.concatenate((top, found[found <= thr]))
+        top = np.concatenate((top, found[found <= prune_limit(thr)]))
         if top.size >= k:
             top = np.partition(top, k - 1)[:k]
-            thr = float(top[-1])
+            thr = min(thr, float(top[-1]))
 
     def pending(part):
         # Not yet evaluated, and the threshold admits the lower bound.
@@ -198,7 +202,7 @@ def _evaluate(m, omega_u, omega_w, cands: Candidates, bm: BoundMatrices, k, boun
         run(seed[pending(seed)])
     for pos in range(0, lbs.size, _CHUNK):
         run(pos + np.flatnonzero(pending(slice(pos, pos + _CHUNK))))
-    return d, thr, cells
+    return d, (float(top[-1]) if top.size >= k else thr), cells
 
 
 def _kth_smallest(values: np.ndarray, k: int) -> float:
@@ -366,17 +370,13 @@ def infer_most_similar(
 
 
 def brute_force_search(
-    u: TimeSeries,
-    w: TimeSeries,
-    wp: WindowPair,
-    options: SearchOptions | None = None,
-    *,
-    return_table=False,
-):
+    u: TimeSeries, w: TimeSeries, wp: WindowPair, options: SearchOptions | None = None
+) -> SearchResult:
     """Evaluate every placement; the oracle the pruned search must match.
 
-    With return_table=True also returns the full placement-by-placement
-    distance grid, oriented as (start in u) x (start in w).
+    It computes ``dtw_matrix_full`` in the search's own orientation (the
+    series swapped when omega_w > omega_u) and reports every placement
+    within the tie tolerance of its minimum, in the caller's orientation.
     """
     opts = options or SearchOptions()
     clock, m, wu, ww, swapped = _start(u, w, wp, opts)
@@ -384,7 +384,7 @@ def brute_force_search(
     shortest = float(table.min())
     ii, jj = np.nonzero(table <= shortest + TIE_TOLERANCE)
     if swapped:
-        ii, jj, table = jj, ii, table.T
+        ii, jj = jj, ii
     solutions = frozenset(zip((ii + 1).tolist(), (jj + 1).tolist()))
     total = int(table.size)
     clock.lap("evaluate_ms")
@@ -396,10 +396,7 @@ def brute_force_search(
         peak_grid_bytes=m.entries.nbytes + table.nbytes,
         **clock.fields(),
     )
-    result = _result(wp, opts, solutions, shortest, swapped, stats)
-    if return_table:
-        return result, table
-    return result
+    return _result(wp, opts, solutions, shortest, swapped, stats)
 
 
 def top_k_search(

@@ -1,7 +1,7 @@
 """Synthetic series with planted variable-length motifs and mixed noise.
 
 Backgrounds follow an order-20 moving-average model: each value is the
-unnormalized sum of the last 20 i.i.d. Gaussian innovations, drawn
+unnormalized sum of the last 20 i.i.d. N(0, 4) innovations, drawn
 independently per series. The second series' motif is planted at the
 first motif's position shifted by `delay` (clamped to fit). Motifs are
 single-period sines of amplitude 1 written over the background, so the
@@ -23,18 +23,18 @@ import numpy as np
 from .core import InvalidGamma, InvalidSpec, TimeSeries
 
 MA_ORDER = 20
+INNOVATION_VARIANCE = 4.0
 
 
 @dataclass(frozen=True)
 class SimulationSpec:
-    """Parameters of one simulated series pair."""
+    """Parameters of one simulated series pair; the innovation variance is fixed (INNOVATION_VARIANCE)."""
 
     length_u: int
     length_w: int
     motif_len_u: int = 60
     motif_len_w: int = 80
     delay: int = 20
-    innovation_variance: float = 4.0
     gamma: float = 0.0
     seed: int = 0
     dims: int = 1
@@ -48,8 +48,6 @@ class SimulationSpec:
             raise InvalidSpec("motif lengths must not exceed series lengths")
         if not 0.0 <= self.gamma <= 1.0:
             raise InvalidSpec(f"gamma must lie in [0, 1], got {self.gamma}")
-        if self.innovation_variance <= 0:
-            raise InvalidSpec("innovation_variance must be positive")
 
 
 @dataclass(frozen=True)
@@ -67,9 +65,8 @@ class GroundTruth:
             object.__setattr__(self, name, (int(s), int(e)))
 
 
-def _ma_background(rng: np.random.Generator, length: int, dims: int, variance: float) -> np.ndarray:
-    sigma = float(np.sqrt(variance))
-    innovations = rng.normal(0.0, sigma, size=(length + MA_ORDER - 1, dims))
+def _ma_background(rng: np.random.Generator, length: int, dims: int) -> np.ndarray:
+    innovations = rng.normal(0.0, np.sqrt(INNOVATION_VARIANCE), size=(length + MA_ORDER - 1, dims))
     kernel = np.ones(MA_ORDER)
     return np.column_stack(
         [np.convolve(innovations[:, d], kernel, mode="valid") for d in range(dims)]
@@ -89,8 +86,8 @@ def generate_pair(spec: SimulationSpec):
     gamma > 0, both series are independently mixed with uniform noise.
     """
     rng = np.random.default_rng(spec.seed)
-    u_vals = _ma_background(rng, spec.length_u, spec.dims, spec.innovation_variance)
-    w_vals = _ma_background(rng, spec.length_w, spec.dims, spec.innovation_variance)
+    u_vals = _ma_background(rng, spec.length_u, spec.dims)
+    w_vals = _ma_background(rng, spec.length_w, spec.dims)
 
     pos_u = int(rng.integers(0, spec.length_u - spec.motif_len_u + 1))
     pos_w = int(np.clip(pos_u + spec.delay, 0, spec.length_w - spec.motif_len_w))

@@ -98,12 +98,12 @@ def test_distance_matrix_equals_the_numpy_blocks_bitwise(dims, magnitude):
 
 def test_distance_matrix_copies_a_borrowed_grid():
     grid = np.arange(6.0).reshape(2, 3)
-    m = DistanceMatrix(entries=grid, n=2, m=3)
+    m = DistanceMatrix(entries=grid)
     grid[0, 0] = 99.0
     assert m.entries[0, 0] == 0.0 and not m.entries.flags.writeable and grid.flags.writeable
     view = grid[:, :2]
     view.setflags(write=False)
-    assert not np.shares_memory(DistanceMatrix(entries=view, n=2, m=2).entries, grid)
+    assert not np.shares_memory(DistanceMatrix(entries=view).entries, grid)
 
 
 def test_import_loads_no_scipy():

@@ -14,11 +14,13 @@ from dtwsearch import (
     brute_force_search,
     compute_bounds,
     distance_matrix,
+    dtw_matrix_full,
     find_candidates,
     infer_most_similar,
     result_to_json_dict,
     top_k_search,
     topk_to_json_list,
+    z_normalize,
 )
 from dtwsearch.core import prune_limit
 from dtwsearch.dtw import window_cells
@@ -28,6 +30,20 @@ from oracles import naive_dtw
 
 U3 = TimeSeries(values=[0.0, 1.0, 3.0])
 W2 = TimeSeries(values=[0.0, 2.0])
+
+
+def brute_table(u, w, wp, opts=SearchOptions()):
+    """Every placement's distance as brute force computes it, indexed (start in u, start in w).
+
+    Brute force normalizes when asked and swaps the series when
+    omega_w > omega_u. A band is not symmetric under the swap, so the
+    table is computed in the swapped orientation and transposed back.
+    """
+    if opts.normalize == "zscore":
+        u, w = z_normalize(u), z_normalize(w)
+    if wp.omega_w > wp.omega_u:
+        return dtw_matrix_full(distance_matrix(w, u), wp.omega_w, wp.omega_u, radius=opts.band_radius).T
+    return dtw_matrix_full(distance_matrix(u, w), wp.omega_u, wp.omega_w, radius=opts.band_radius)
 
 
 def random_pair(rng, n, m, dims=1):
@@ -236,6 +252,35 @@ def test_prune_pad_scales_with_magnitude(seed, magnitude, omega_w, radius):
     assert sp.shortest_dist == bf.shortest_dist
 
 
+@pytest.mark.parametrize("seed, magnitude, omega_w, radius", [(9, 1e4, 3, None), (4, 1e4, 5, 3), (1, 1e7, 3, None)])
+def test_search_without_exclusion_runs_one_round(monkeypatch, seed, magnitude, omega_w, radius):
+    # The k-th upper bound rounds a few ulps below the k-th distance here, so
+    # no distance falls at or below the first threshold. The ranking must
+    # still come from the first round: one that ranked fewer than k
+    # placements fell into the exclusion rounds, which evaluate every
+    # survivor of a raised bound. The inputs are test_prune_pad_scales_with_magnitude's.
+    rng = np.random.default_rng(seed)
+    ramp = magnitude * (1 + rng.uniform(size=200))
+    peak = magnitude * (50 + rng.uniform(size=40))
+    u = TimeSeries(values=np.concatenate([ramp, peak, ramp[::-1]]))
+    w = TimeSeries(values=np.zeros(omega_w + 1))
+    wp, opts = WindowPair(200, omega_w), SearchOptions(band_radius=radius)
+    rounds = []
+
+    def counted(bm, **kw):
+        rounds.append(find_candidates(bm, **kw))
+        return rounds[-1]
+
+    monkeypatch.setattr(search, "find_candidates", counted)
+    sp = infer_most_similar(u, w, wp, opts)
+    assert len(rounds) == 1
+    bf = brute_force_search(u, w, wp, opts)
+    assert sp.solutions == bf.solutions and sp.shortest_dist == bf.shortest_dist
+    tk = top_k_search(u, w, wp, 2, opts)
+    assert len(rounds) == 2
+    assert [(m.distance, m.a, m.b) for m in tk.matches] == brute_ranking(u, w, wp, opts)[:2]
+
+
 def test_redo_reruns_a_placement_inside_the_scaled_pad():
     # An earlier round abandoned placement (31, 41) (d is +inf there); its
     # lower bound sits above the threshold by more than the absolute 1e-9
@@ -269,7 +314,7 @@ def twin_motif_pair(rng, n=110, m=90, motif_len=24):
 
 
 def brute_ranking(u, w, wp, opts):
-    _, table = brute_force_search(u, w, wp, opts, return_table=True)
+    table = brute_table(u, w, wp, opts)
     return sorted((table[i, j], i + 1, j + 1) for i in range(table.shape[0]) for j in range(table.shape[1]))
 
 
@@ -383,9 +428,9 @@ def test_banded_search_matches_banded_brute(rng):
 
 
 def test_brute_force_worked_example_table():
-    res, table = brute_force_search(U3, W2, WindowPair(2, 2), return_table=True)
+    res = brute_force_search(U3, W2, WindowPair(2, 2))
     assert res.solutions == frozenset({(1, 1)}) and res.shortest_dist == 1.0
-    assert table.ravel().tolist() == [1.0, 2.0]
+    assert brute_table(U3, W2, WindowPair(2, 2)).ravel().tolist() == [1.0, 2.0]
 
 
 def test_brute_force_constant_series_all_tie():
@@ -397,12 +442,21 @@ def test_brute_force_constant_series_all_tie():
 
 
 def test_brute_force_table_orientation_under_swap(rng):
+    # Brute force swaps the series; its solutions come back in the caller's
+    # orientation, where they are the minima of the transposed-back table.
+    # The band is laid out in the swapped orientation, (7, 4) windows over w x u.
     u, w = random_pair(rng, 20, 26)
-    res, table = brute_force_search(u, w, WindowPair(4, 7), return_table=True)
-    assert res.swapped
-    assert table.shape == (20 - 4 + 1, 26 - 7 + 1)
-    m = distance_matrix(u, w)
-    assert table[2, 3] == naive_dtw(m.entries, 4, 7, (3, 4))
+    wp = WindowPair(4, 7)
+    for radius in (None, 2):
+        opts = SearchOptions(band_radius=radius)
+        res = brute_force_search(u, w, wp, opts)
+        table = brute_table(u, w, wp, opts)
+        assert res.swapped
+        assert table.shape == (20 - 4 + 1, 26 - 7 + 1)
+        ii, jj = np.nonzero(table <= table.min() + 1e-9)
+        assert res.solutions == frozenset(zip((ii + 1).tolist(), (jj + 1).tolist()))
+        assert res.shortest_dist == table.min()
+        assert table[2, 3] == naive_dtw(distance_matrix(w, u).entries, 7, 4, (4, 3), radius)
 
 
 def test_top_k_head_matches_most_similar(rng):
@@ -427,7 +481,7 @@ def test_top_k_worked_example():
 
 def test_top_k_full_ranking_equals_sorted_brute_table(rng):
     u, w = random_pair(rng, 24, 21)
-    bf, table = brute_force_search(u, w, WindowPair(6, 4), return_table=True)
+    table = brute_table(u, w, WindowPair(6, 4))
     total = table.size
     tk = top_k_search(u, w, WindowPair(6, 4), total)
     expected = sorted(

@@ -61,8 +61,6 @@ def test_invalid_specs_rejected():
         SimulationSpec(length_u=50, length_w=50, motif_len_u=60)
     with pytest.raises(InvalidSpec):
         SimulationSpec(length_u=50, length_w=50, gamma=1.5)
-    with pytest.raises(InvalidSpec):
-        SimulationSpec(length_u=50, length_w=50, innovation_variance=0.0)
 
 
 def test_add_noise_gamma_zero_identity(rng):
