@@ -1,22 +1,35 @@
-"""The package's compiled library, ``_kernel.c``: built on first use, loaded through ctypes.
+"""The package's compiled library, ``_kernel.c``, and the memory of the grids it fills.
 
-It holds the DTW kernel (``dtw.dtw_batch``) and the grid routines behind
-``metrics.distance_matrix``, ``bounds.min_pool`` and the bound grids'
-window sums. The library is compiled with ``cc`` on first use, not at
+The library holds the DTW kernel (``dtw.dtw_batch``) and the grid routines
+behind ``metrics.distance_matrix``, ``bounds.min_pool`` and the bound
+grids' window sums. It is compiled with ``cc`` on first use, not at
 import, and cached in this package's ``__pycache__`` under a hash of its
 source and flags; a missing or failing compiler raises
 ``KernelCompileError``.
+
+``grid`` hands out the memory of every grid-sized float64 array: the
+distance matrix, the min-pool, lower- and upper-bound grids and the
+brute-force table. A search that follows another reuses its blocks
+instead of faulting in and zeroing fresh pages, as the UCR suite
+allocates its buffers once for a whole scan (Rakthanmanon et al., KDD
+2012). A block is handed out again only after every array on it has been
+collected, and the pool keeps about the last search's grid bytes.
 """
 from __future__ import annotations
 
+import collections
 import ctypes
 import hashlib
+import math
 import os
 import shlex
 import subprocess
 import tempfile
+import threading
 from functools import lru_cache
 from pathlib import Path
+
+import numpy as np
 
 from .core import KernelCompileError
 
@@ -91,3 +104,115 @@ def _kernel():
         fn = getattr(lib, name)
         fn.restype, fn.argtypes = restype, argtypes
     return lib, ctypes.c_int.in_dll(lib, "dtw_lanes").value
+
+
+# A free block serves a grid of at least 1/_FIT of its size, so a small grid never pins a large block.
+_FIT = 2
+
+
+class _Owner:
+    """The base of every array on one handed-out block; the block goes back when it is collected.
+
+    Each grid gets a fresh owner, so the block is free once nothing refers
+    to the owner, that is once the grid and all its views are gone. numpy
+    reads ``__array_interface__`` once, when the grid is made.
+    """
+
+    __slots__ = ("__array_interface__", "readonly", "_block", "_pool")
+
+    def __init__(self, pool: _GridPool, block: np.ndarray, shape: tuple, readonly: bool):
+        self.__array_interface__ = {"shape": shape, "typestr": "<f8", "data": (block.ctypes.data, readonly), "version": 3}
+        self.readonly = readonly
+        self._block, self._pool = block, pool
+
+    def __del__(self):
+        self._pool._give_back(self._block)
+
+
+class _GridPool:
+    """Float64 blocks for ``grid``: the best free fit, else a new block.
+
+    The pool keeps a free block only while the bytes out plus the bytes
+    free stay within the most bytes out at once in this busy spell, or in
+    the one before if that was more; the oldest free block goes first. A
+    spell ends when every block is back, for the library's own callers at
+    the end of each search, so after a small search the pool keeps about
+    that search's grid bytes, not the largest search's. While an array on
+    some block stays alive, the spell goes on, and the pool keeps at most
+    the most bytes that were out at once during it.
+
+    A block comes back from whatever thread drops its last array, maybe
+    while that thread holds the lock, so it is queued without the lock
+    and settled by whichever call next holds it.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._back = collections.deque()  # blocks whose owner was collected, not yet settled
+        self._free = []  # blocks to hand out again, the least recently back first
+        self._out = 0  # bytes handed out and not yet settled back
+        self._peak = 0  # the most bytes out at once in this spell
+        self._last = 0  # the previous spell's peak
+
+    def take(self, shape: tuple, readonly: bool) -> np.ndarray:
+        size = max(math.prod(shape), 1)  # float64 entries of the block
+        with self._lock:
+            self._settle()
+            fits = [i for i, b in enumerate(self._free) if size <= b.size <= _FIT * size]
+            block = self._free.pop(min(fits, key=lambda i: self._free[i].size)) if fits else None
+            self._out += 8 * size if block is None else block.nbytes
+            self._peak = max(self._peak, self._out)
+            self._trim()  # before a new block, so that the old ones are unmapped first
+            if block is None:
+                block = np.empty(size)
+        return np.asarray(_Owner(self, block, shape, readonly))
+
+    def kept(self) -> int:
+        """Bytes of the blocks handed out or kept free."""
+        with self._lock:
+            self._settle()
+            return self._out + sum(b.nbytes for b in self._free)
+
+    def _give_back(self, block: np.ndarray):
+        self._back.append(block)
+        if self._lock.acquire(blocking=False):
+            try:
+                self._settle()
+            finally:
+                self._lock.release()
+
+    def _settle(self):
+        # Holds the lock: takes back the queued blocks, then trims.
+        while self._back:
+            block = self._back.popleft()
+            self._out -= block.nbytes
+            self._free.append(block)
+        if self._out == 0 and self._peak:  # the spell is over
+            self._last, self._peak = self._peak, 0
+        self._trim()
+
+    def _trim(self):
+        # Holds the lock. out <= peak, so the loop ends before free runs out.
+        over = self._out + sum(b.nbytes for b in self._free) - max(self._peak, self._last)
+        while over > 0:
+            over -= self._free.pop(0).nbytes
+
+
+_GRIDS = _GridPool()
+
+
+def grid(shape, *, writeable: bool = True) -> np.ndarray:
+    """An uninitialized C-ordered float64 array on recycled memory; the caller writes every entry.
+
+    With ``writeable=False`` the array is read-only from the start, and no
+    array can ever be made to write it: only the compiled library fills it,
+    through its address.
+    """
+    return _GRIDS.take(tuple(int(s) for s in shape), not writeable)
+
+
+def sealed(arr: np.ndarray) -> bool:
+    """Whether ``arr`` lies on a grid made with ``writeable=False``, which no array can write."""
+    while isinstance(arr, np.ndarray):
+        arr = arr.base
+    return isinstance(arr, _Owner) and arr.readonly

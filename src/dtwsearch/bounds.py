@@ -13,7 +13,8 @@ rescanning omega cells per entry: O(nm) per straight segment of a path,
 plus O(nm) for the lower bound's min-pool grid. That is what makes
 pruning cheaper than the search it replaces. The min-pool and the window
 sums run in the compiled library (``_kernel.c``) and make no grid-sized
-temporary.
+temporary; each output grid's memory comes from ``_native.grid``, which
+reuses an earlier search's.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._native import _kernel
+from ._native import _kernel, grid
 from .core import WindowOrderViolated, WindowTooLarge, prune_limit
 from .dtw import band_column_ranges
 from .metrics import _entries
@@ -80,7 +81,7 @@ def min_pool(m, omega_w: int) -> np.ndarray:
     n, cols = arr.shape
     if not 1 <= omega_w <= cols:
         raise WindowTooLarge(f"omega_w={omega_w} does not fit matrix with {cols} columns")
-    out = np.empty((n, cols - omega_w + 1))
+    out = grid((n, cols - omega_w + 1))
     work = np.empty(2 * cols)
     _kernel()[0].min_pool_rows(arr.ctypes.data, n, cols, omega_w, work.ctypes.data, out.ctypes.data)
     return out
@@ -127,7 +128,7 @@ def lower_bound_matrix(pool: np.ndarray, omega_u: int) -> np.ndarray:
     n = pool.shape[0]
     if not 1 <= omega_u <= n:
         raise WindowTooLarge(f"omega_u={omega_u} does not fit grid with {n} rows")
-    out = np.empty((n - omega_u + 1, pool.shape[1]))
+    out = grid((n - omega_u + 1, pool.shape[1]))
     _add_window_sums(out, pool, omega_u, 0, True)
     return out
 
@@ -181,7 +182,7 @@ def upper_bound_matrix(m, omega_u: int, omega_w: int, radius: int | None = None)
     path = upper_bound_path(omega_u, omega_w, radius).tolist()
     steps = np.diff(path, prepend=-1)
     starts = np.flatnonzero(np.diff(steps, prepend=-1))
-    out = np.empty((arr.shape[0] - omega_u + 1, arr.shape[1] - omega_w + 1))
+    out = grid((arr.shape[0] - omega_u + 1, arr.shape[1] - omega_w + 1))
     for p, length, step in zip(starts.tolist(), np.diff(starts, append=omega_u).tolist(), steps[starts].tolist()):
         _add_window_sums(out, arr[p:, path[p] :], length, step, p == 0)
     return out

@@ -30,6 +30,11 @@ def prune_limit(threshold):
     return threshold + TIE_TOLERANCE + 1e-12 * np.abs(threshold)
 
 
+def is_integer(v) -> bool:
+    """Whether v is a Python or numpy integer; a bool is not, though True == 1."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 class DtwSearchError(Exception):
     """Base class for all errors raised by this package."""
 
@@ -144,7 +149,7 @@ class WindowPair:
     def __post_init__(self):
         for name in ("omega_u", "omega_w"):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 1:
+            if not is_integer(v) or v < 1:
                 raise InvalidSpec(f"{name} must be a positive integer, got {v!r}")
         object.__setattr__(self, "omega_u", int(self.omega_u))
         object.__setattr__(self, "omega_w", int(self.omega_w))

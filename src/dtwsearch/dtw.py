@@ -38,8 +38,9 @@ from .core import (
     InvalidSpec,
     WarpingPath,
     WindowTooLarge,
+    is_integer,
 )
-from ._native import _kernel
+from ._native import _kernel, grid
 from .metrics import _entries
 
 _ORACLE_MAX_WINDOW = 8
@@ -86,7 +87,7 @@ def band_column_ranges(omega_u: int, omega_w: int, radius: int | None):
     """
     if radius is None:
         return np.zeros(omega_u, dtype=np.int64), np.full(omega_u, omega_w - 1, dtype=np.int64)
-    if not isinstance(radius, (int, np.integer)) or radius < 1:
+    if not is_integer(radius) or radius < 1:
         raise InvalidSpec(f"band radius must be an integer >= 1, got {radius!r}")
     d = max(omega_u - 1, 1)
     p = np.arange(omega_u, dtype=np.int64)
@@ -254,7 +255,7 @@ def dtw_matrix_full(m, omega_u: int, omega_w: int, *, radius: int | None = None)
         raise WindowTooLarge(f"windows ({omega_u},{omega_w}) do not fit matrix of shape {arr.shape}")
     pa = n - omega_u + 1
     pb = cols - omega_w + 1
-    out = np.empty(pa * pb)
+    out = grid((pa * pb,))
     for s in range(0, out.size, _FULL_CHUNK):
         a0, b0 = np.divmod(np.arange(s, min(s + _FULL_CHUNK, out.size)), pb)
         out[s : s + a0.size] = dtw_batch(arr, omega_u, omega_w, a0, b0, radius=radius)[0]

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._native import _kernel
+from ._native import _kernel, grid, sealed
 from .core import DimensionMismatch, SeriesTooShort, TimeSeries
 
 
@@ -13,7 +13,11 @@ from .core import DimensionMismatch, SeriesTooShort, TimeSeries
 class DistanceMatrix:
     """n x m grid of pointwise distances between every pair of time steps.
 
-    ``entries`` is read-only; a grid the caller may still write is copied.
+    ``entries`` is read-only. A read-only grid is kept as it is when it
+    owns its memory, or when it lies on a read-only ``_native.grid`` (as
+    ``distance_matrix`` builds), which no array can ever write. Any other
+    buffer the caller may still write is copied, a read-only view of a
+    writeable array included.
     """
 
     entries: np.ndarray
@@ -22,7 +26,7 @@ class DistanceMatrix:
         arr = np.asarray(self.entries, dtype=np.float64)
         if arr.ndim != 2:
             raise DimensionMismatch(f"entries must be a 2-D grid, got shape {arr.shape}")
-        if arr.flags.writeable or not arr.flags.owndata:
+        if arr.flags.writeable or not (arr.flags.owndata or sealed(arr)):
             arr = arr.copy()  # the caller may still write this buffer
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
@@ -40,9 +44,8 @@ def distance_matrix(u: TimeSeries, w: TimeSeries) -> DistanceMatrix:
     if u.dims != w.dims:
         raise DimensionMismatch(f"series dims differ: {u.dims} vs {w.dims}")
     rows, cols = np.ascontiguousarray(u.values), np.ascontiguousarray(w.values.T)
-    entries = np.empty((u.length, w.length))
+    entries = grid((u.length, w.length), writeable=False)
     _kernel()[0].distance_rows(rows.ctypes.data, u.length, cols.ctypes.data, w.length, u.dims, entries.ctypes.data)
-    entries.setflags(write=False)
     return DistanceMatrix(entries=entries)
 
 

@@ -39,6 +39,7 @@ from .core import (
     SearchStats,
     TimeSeries,
     WindowPair,
+    is_integer,
     prune_limit,
     validate_query,
 )
@@ -71,11 +72,9 @@ class SearchOptions:
     def __post_init__(self):
         if self.normalize not in ("none", "zscore"):
             raise InvalidSpec(f"normalize must be 'none' or 'zscore', got {self.normalize!r}")
-        if self.band_radius is not None and (
-            not isinstance(self.band_radius, (int, np.integer)) or self.band_radius < 1
-        ):
+        if self.band_radius is not None and (not is_integer(self.band_radius) or self.band_radius < 1):
             raise InvalidSpec(f"band_radius must be None or an integer >= 1, got {self.band_radius!r}")
-        if not isinstance(self.exclusion, (int, np.integer)) or self.exclusion < 0:
+        if not is_integer(self.exclusion) or self.exclusion < 0:
             raise InvalidSpec(f"exclusion must be an integer >= 0, got {self.exclusion!r}")
 
 
@@ -414,7 +413,7 @@ def top_k_search(
     already-accepted match are suppressed; the ranked placements grow by
     rounds until k survivors exist or placements run out.
     """
-    if not isinstance(k, (int, np.integer)) or k < 1:
+    if not is_integer(k) or k < 1:
         raise InvalidSpec(f"k must be a positive integer, got {k!r}")
     run = _rank(u, w, wp, int(k), options or SearchOptions())
     picks = run.chosen

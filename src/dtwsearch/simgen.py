@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvalidGamma, InvalidSpec, TimeSeries
+from .core import InvalidGamma, InvalidSpec, TimeSeries, is_integer
 
 MA_ORDER = 20
 INNOVATION_VARIANCE = 4.0
@@ -42,7 +42,7 @@ class SimulationSpec:
     def __post_init__(self):
         for name in ("length_u", "length_w", "motif_len_u", "motif_len_w", "dims"):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 1:
+            if not is_integer(v) or v < 1:
                 raise InvalidSpec(f"{name} must be a positive integer, got {v!r}")
         if self.motif_len_u > self.length_u or self.motif_len_w > self.length_w:
             raise InvalidSpec("motif lengths must not exceed series lengths")

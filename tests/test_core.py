@@ -59,6 +59,8 @@ def test_window_pair_rejects_nonpositive():
         WindowPair(0, 3)
     with pytest.raises(InvalidSpec):
         WindowPair(3, -1)
+    with pytest.raises(InvalidSpec):
+        WindowPair(True, 3)  # a bool is not a window length, though True == 1
 
 
 def test_warping_path_validates_steps():

@@ -17,6 +17,7 @@ from dtwsearch import (
     SeriesTooShort,
     TimeSeries,
     distance_matrix,
+    min_pool,
     z_normalize,
 )
 from oracles import blocked_distance_matrix, naive_distance_matrix, point_distance
@@ -104,6 +105,22 @@ def test_distance_matrix_copies_a_borrowed_grid():
     view = grid[:, :2]
     view.setflags(write=False)
     assert not np.shares_memory(DistanceMatrix(entries=view).entries, grid)
+
+
+def test_distance_matrix_keeps_a_sealed_grid_and_copies_a_writable_one():
+    u, w = TimeSeries(values=np.arange(5.0)), TimeSeries(values=np.arange(4.0))
+    entries = distance_matrix(u, w).entries
+    # Built read-only by the library: no array can write it, so it is not copied.
+    with pytest.raises(ValueError):
+        entries.setflags(write=True)
+    assert DistanceMatrix(entries=entries).entries is entries
+    assert np.shares_memory(DistanceMatrix(entries=entries[1:, 1:]).entries, entries)
+    # A min-pool grid is the caller's to write, and so is a read-only view of it.
+    pool = min_pool(entries, 2)
+    assert not np.shares_memory(DistanceMatrix(entries=pool).entries, pool)
+    view = pool[:, 1:]
+    view.setflags(write=False)
+    assert not np.shares_memory(DistanceMatrix(entries=view).entries, pool)
 
 
 def test_import_loads_no_scipy():

@@ -538,10 +538,22 @@ def test_top_k_exclusion_equals_greedy_over_full_ranking(rng):
     assert [(m.a, m.b) for m in tk.matches] == accepted
 
 
-@pytest.mark.parametrize("exclusion", [1.5, None, "2", -1])
+@pytest.mark.parametrize("exclusion", [1.5, None, "2", -1, True, False])
 def test_exclusion_must_be_a_nonnegative_integer(exclusion):
     with pytest.raises(InvalidSpec, match="exclusion"):
         SearchOptions(exclusion=exclusion)
+
+
+@pytest.mark.parametrize("radius", [0, -1, 2.0, "3", True])
+def test_band_radius_must_be_none_or_a_positive_integer(radius):
+    with pytest.raises(InvalidSpec, match="band_radius"):
+        SearchOptions(band_radius=radius)
+
+
+@pytest.mark.parametrize("k", [0, -1, 2.0, "3", True, None])
+def test_top_k_count_must_be_a_positive_integer(k):
+    with pytest.raises(InvalidSpec, match="k must"):
+        top_k_search(U3, W2, WindowPair(2, 2), k)
 
 
 def test_result_json_schema():
