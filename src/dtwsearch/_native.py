@@ -13,11 +13,12 @@ brute-force table. A search that follows another reuses its blocks
 instead of faulting in and zeroing fresh pages, as the UCR suite
 allocates its buffers once for a whole scan (Rakthanmanon et al., KDD
 2012). A block is handed out again only after every array on it has been
-collected, and the pool keeps about the last search's grid bytes.
+collected. The pool is one free list, emptied whenever no free block fits
+a grid, so it keeps the blocks that were out at once since the last such
+miss.
 """
 from __future__ import annotations
 
-import collections
 import ctypes
 import hashlib
 import math
@@ -108,6 +109,11 @@ def _kernel():
 
 # A free block serves a grid of at least 1/_FIT of its size, so a small grid never pins a large block.
 _FIT = 2
+# Blocks whose arrays are all collected, to hand out again. Only grid()
+# takes from it, under _LOCK; an owner's finalizer appends without the
+# lock, since a collection can run it inside grid().
+_FREE: list = []
+_LOCK = threading.Lock()
 
 
 class _Owner:
@@ -115,100 +121,46 @@ class _Owner:
 
     Each grid gets a fresh owner, so the block is free once nothing refers
     to the owner, that is once the grid and all its views are gone. numpy
-    reads ``__array_interface__`` once, when the grid is made.
+    reads ``__array_interface__`` once, when the grid is made. The owner
+    holds the free list itself, so its finalizer looks nothing up, even at
+    interpreter exit.
     """
 
-    __slots__ = ("__array_interface__", "readonly", "_block", "_pool")
+    __slots__ = ("__array_interface__", "readonly", "_block", "_free")
 
-    def __init__(self, pool: _GridPool, block: np.ndarray, shape: tuple, readonly: bool):
+    def __init__(self, block: np.ndarray, shape: tuple, readonly: bool):
         self.__array_interface__ = {"shape": shape, "typestr": "<f8", "data": (block.ctypes.data, readonly), "version": 3}
         self.readonly = readonly
-        self._block, self._pool = block, pool
+        self._block, self._free = block, _FREE
 
     def __del__(self):
-        self._pool._give_back(self._block)
-
-
-class _GridPool:
-    """Float64 blocks for ``grid``: the best free fit, else a new block.
-
-    The pool keeps a free block only while the bytes out plus the bytes
-    free stay within the most bytes out at once in this busy spell, or in
-    the one before if that was more; the oldest free block goes first. A
-    spell ends when every block is back, for the library's own callers at
-    the end of each search, so after a small search the pool keeps about
-    that search's grid bytes, not the largest search's. While an array on
-    some block stays alive, the spell goes on, and the pool keeps at most
-    the most bytes that were out at once during it.
-
-    A block comes back from whatever thread drops its last array, maybe
-    while that thread holds the lock, so it is queued without the lock
-    and settled by whichever call next holds it.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._back = collections.deque()  # blocks whose owner was collected, not yet settled
-        self._free = []  # blocks to hand out again, the least recently back first
-        self._out = 0  # bytes handed out and not yet settled back
-        self._peak = 0  # the most bytes out at once in this spell
-        self._last = 0  # the previous spell's peak
-
-    def take(self, shape: tuple, readonly: bool) -> np.ndarray:
-        size = max(math.prod(shape), 1)  # float64 entries of the block
-        with self._lock:
-            self._settle()
-            fits = [i for i, b in enumerate(self._free) if size <= b.size <= _FIT * size]
-            block = self._free.pop(min(fits, key=lambda i: self._free[i].size)) if fits else None
-            self._out += 8 * size if block is None else block.nbytes
-            self._peak = max(self._peak, self._out)
-            self._trim()  # before a new block, so that the old ones are unmapped first
-            if block is None:
-                block = np.empty(size)
-        return np.asarray(_Owner(self, block, shape, readonly))
-
-    def kept(self) -> int:
-        """Bytes of the blocks handed out or kept free."""
-        with self._lock:
-            self._settle()
-            return self._out + sum(b.nbytes for b in self._free)
-
-    def _give_back(self, block: np.ndarray):
-        self._back.append(block)
-        if self._lock.acquire(blocking=False):
-            try:
-                self._settle()
-            finally:
-                self._lock.release()
-
-    def _settle(self):
-        # Holds the lock: takes back the queued blocks, then trims.
-        while self._back:
-            block = self._back.popleft()
-            self._out -= block.nbytes
-            self._free.append(block)
-        if self._out == 0 and self._peak:  # the spell is over
-            self._last, self._peak = self._peak, 0
-        self._trim()
-
-    def _trim(self):
-        # Holds the lock. out <= peak, so the loop ends before free runs out.
-        over = self._out + sum(b.nbytes for b in self._free) - max(self._peak, self._last)
-        while over > 0:
-            over -= self._free.pop(0).nbytes
-
-
-_GRIDS = _GridPool()
+        self._free.append(self._block)
 
 
 def grid(shape, *, writeable: bool = True) -> np.ndarray:
     """An uninitialized C-ordered float64 array on recycled memory; the caller writes every entry.
 
+    It takes the smallest free block of 1 to _FIT times its size. When no
+    free block fits, every free block is let go before a new one is made,
+    so old pages are unmapped before new ones fault in. The pool therefore
+    never holds more blocks than were out at the last miss, plus the new
+    one: for searches whose grids fit what is kept, one search's blocks.
+
     With ``writeable=False`` the array is read-only from the start, and no
     array can ever be made to write it: only the compiled library fills it,
     through its address.
     """
-    return _GRIDS.take(tuple(int(s) for s in shape), not writeable)
+    shape = tuple(int(s) for s in shape)
+    size = max(math.prod(shape), 1)  # float64 entries of the block
+    with _LOCK:
+        # Finalizers only append, so the indices stay valid while the lock is held.
+        fits = [i for i, b in enumerate(_FREE) if size <= b.size <= _FIT * size]
+        if fits:
+            block = _FREE.pop(min(fits, key=lambda i: _FREE[i].size))
+        else:
+            _FREE.clear()
+            block = np.empty(size)
+    return np.asarray(_Owner(block, shape, not writeable))
 
 
 def sealed(arr: np.ndarray) -> bool:

@@ -253,8 +253,10 @@ def run_bench(args: argparse.Namespace) -> int:
     methods = args.methods.split(",")
     seeds = [int(t) for t in args.seeds.split(",")]
     warmup, reps = args.warmup, args.reps
-    if reps < 1:
-        raise InvalidSpec(f"--reps must be at least 1, got {reps}")
+    if reps < 1 or warmup < 0:
+        raise InvalidSpec(f"--reps must be at least 1 and --warmup at least 0, got {reps} and {warmup}")
+    if args.band is not None and args.band < 1:
+        raise InvalidSpec(f"--band must be at least 1, got {args.band}")
     for method in methods:
         if method not in BENCH_METHODS:
             raise InvalidSpec(f"unknown bench method {method!r}; choose from {', '.join(BENCH_METHODS)}")

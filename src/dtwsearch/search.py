@@ -76,6 +76,9 @@ class SearchOptions:
             raise InvalidSpec(f"band_radius must be None or an integer >= 1, got {self.band_radius!r}")
         if not is_integer(self.exclusion) or self.exclusion < 0:
             raise InvalidSpec(f"exclusion must be an integer >= 0, got {self.exclusion!r}")
+        if self.band_radius is not None:
+            object.__setattr__(self, "band_radius", int(self.band_radius))
+        object.__setattr__(self, "exclusion", int(self.exclusion))
 
 
 @dataclass(frozen=True)

@@ -264,12 +264,15 @@ def test_bench_all_methods_agree_on_band_radius(tmp_path):
 
 
 def test_bench_rejects_zero_reps(tmp_path, capsys):
-    rc = main([
-        "bench", "--lengths", "60", "--windows", "10", "--gammas", "0.1", "--methods", "sp",
-        "--seeds", "0", "--warmup", "0", "--reps", "0", "--out", str(tmp_path / "bench.csv"),
-    ])
-    assert rc == 1
-    assert json.loads(capsys.readouterr().err.strip())["error"] == "InvalidSpec"
+    # Also a zero band, which would fall back to the default radius, and a negative warm-up.
+    for bad in (["--reps", "0"], ["--band", "0"], ["--warmup", "-3"]):
+        rc = main([
+            "bench", "--lengths", "60", "--windows", "10", "--gammas", "0.1", "--methods", "sp,sp_sakoe_chiba",
+            "--seeds", "0", "--warmup", "0", "--reps", "1", *bad, "--out", str(tmp_path / "bench.csv"),
+        ])
+        assert rc == 1, bad
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "InvalidSpec"
+    assert not (tmp_path / "bench.csv").exists()
 
 
 def test_missing_input_reports_error_json(tmp_path, capsys):

@@ -5,6 +5,7 @@ answer or counter, must hold up under threads, and must be kept in
 bounds. Tests that depend on what the allocator holds run in a fresh
 interpreter, where no other test's arrays are alive.
 """
+import gc
 import hashlib
 import json
 import os
@@ -63,17 +64,22 @@ def fingerprint(seed, n, m, wu, ww, radius=None, k=None):
     return json.loads(json.dumps({"answer": answer, "counters": [getattr(r.stats, f) for f in COUNTERS], "grids": grids}))
 
 
-def in_fresh_process(code: str):
-    """Run code in a new interpreter, with this module imported as t; the JSON of its last line."""
+def fresh_interpreter(code: str, timeout: float = 300) -> subprocess.CompletedProcess:
+    """Run code in a new interpreter, with this module imported as t."""
     paths = (str(Path(dtwsearch.__file__).resolve().parents[1]), str(Path(__file__).resolve().parent))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", "import json, test_grid_memory as t\n" + code],
         capture_output=True,
         text=True,
-        check=True,
-        timeout=300,
+        timeout=timeout,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
     )
+
+
+def in_fresh_process(code: str):
+    """Run code in a new interpreter, with this module imported as t; the JSON of its last line."""
+    proc = fresh_interpreter(code)
+    proc.check_returncode()
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
@@ -151,13 +157,18 @@ def test_searches_after_mixed_shapes_match_a_fresh_process():
 def in_threads(work, count) -> bool:
     """Run work(i) in ``count`` threads started together under a short switch interval.
 
-    Returns whether a thread was still running after its time.
+    Returns whether a thread raised or was still running after its time.
     """
     start = threading.Barrier(count)
+    failed = []
 
     def run(i):
         start.wait()
-        work(i)
+        try:
+            work(i)
+        except BaseException as exc:
+            failed.append(exc)
+            raise
 
     threads = [threading.Thread(target=run, args=(i,)) for i in range(count)]
     switch = sys.getswitchinterval()
@@ -169,27 +180,31 @@ def in_threads(work, count) -> bool:
             t.join(timeout=120)
     finally:
         sys.setswitchinterval(switch)
-    return any(t.is_alive() for t in threads)
+    return bool(failed) or any(t.is_alive() for t in threads)
 
 
-def bytes_out() -> int:
-    """The bytes the allocator counts as handed out, once the blocks given back are settled."""
+def repeated_free_blocks() -> int:
+    """How many free blocks, once every dropped grid is collected, share an address with an earlier one.
+
+    A block listed twice would be handed out twice.
+    """
     from dtwsearch import _native
 
-    _native._GRIDS.kept()
-    return _native._GRIDS._out
+    gc.collect()
+    addresses = [b.ctypes.data for b in _native._FREE]
+    return len(addresses) - len(set(addresses))
 
 
 def concurrent_fingerprints(jobs, rounds):
     """Each job's fingerprint run alone, then ``rounds`` times in a thread of its own beside the others.
 
-    Also returns whether a thread got stuck, and the bytes still counted
-    out once every thread is done: 0 unless an update was lost.
+    Also returns whether a thread failed or got stuck, and the free blocks
+    listed twice once every thread is done.
     """
     expected = [fingerprint(*job) for job in jobs]
     got = [[] for _ in jobs]
     stuck = in_threads(lambda i: got[i].extend(fingerprint(*jobs[i]) for _ in range(rounds)), len(jobs))
-    return expected, got, stuck, bytes_out()
+    return expected, got, stuck, repeated_free_blocks()
 
 
 def test_concurrent_searches_match_sequential_ones():
@@ -197,10 +212,10 @@ def test_concurrent_searches_match_sequential_ones():
     # the threads, more of them than a small machine has cores, take and give
     # back grids at the same time.
     jobs = [(11, 400, 380, 50, 40, None, None), (12, 300, 330, 30, 40, 4, 50), (13, 250, 240, 25, 25, None, 10)]
-    expected, got, stuck, out = in_fresh_process(f"print(json.dumps(t.concurrent_fingerprints({jobs!r}, 3)))")
+    expected, got, stuck, repeated = in_fresh_process(f"print(json.dumps(t.concurrent_fingerprints({jobs!r}, 3)))")
     assert not stuck
     assert got == [[e] * 3 for e in expected]
-    assert out == 0
+    assert repeated == 0
 
 
 def grids_under_threads(workers, rounds):
@@ -208,8 +223,8 @@ def grids_under_threads(workers, rounds):
 
     Each grid is filled with a value of its own thread and round and read
     back after a switch to other threads: a block handed out twice would
-    show another value. Also returns the bytes still counted out and
-    whether a thread got stuck.
+    show another value. Also returns the free blocks listed twice and
+    whether a thread failed or got stuck.
     """
     from dtwsearch import _native
 
@@ -225,22 +240,23 @@ def grids_under_threads(workers, rounds):
             clashes.extend((i, r) for g in held if not np.all(g == i * rounds + r))
 
     stuck = in_threads(work, workers)
-    return len(clashes), bytes_out(), stuck
+    return len(clashes), repeated_free_blocks(), stuck
 
 
 def test_threads_never_share_a_grid():
-    clashes, out, stuck = in_fresh_process("print(json.dumps(t.grids_under_threads(6, 400)))")
-    assert (clashes, out, stuck) == (0, 0, False)
+    clashes, repeated, stuck = in_fresh_process("print(json.dumps(t.grids_under_threads(6, 400)))")
+    assert (clashes, repeated, stuck) == (0, 0, False)
 
 
 def kept_after_each(searches):
-    """For each search in turn: the bytes the allocator keeps after it, and its peak_grid_bytes."""
+    """For each search in turn: the bytes of the allocator's free blocks after it, and its peak_grid_bytes."""
     from dtwsearch import _native
 
     out = []
     for seed, n, m, wu, ww in searches:
         r = infer_most_similar(*pair(seed, n, m), WindowPair(wu, ww))
-        out.append([_native._GRIDS.kept(), r.stats.peak_grid_bytes])
+        gc.collect()
+        out.append([sum(b.nbytes for b in _native._FREE), r.stats.peak_grid_bytes])
     return out
 
 
@@ -251,6 +267,53 @@ def test_a_small_search_after_a_large_one_lets_the_large_grids_go():
     assert large_kept >= large > 20 * small
     # A free block serves a grid of at least half its size (_native._FIT).
     assert small <= small_kept <= 2 * small
+
+
+def miss_while_a_collection_frees_a_grid():
+    """Ask for a grid that no free block fits while np.empty runs a collection that drops another grid.
+
+    The dropped grid lives only in a reference cycle, so only the
+    collection inside the allocator frees it. Returns the objects that
+    collection found and the free blocks after the call.
+    """
+    from dtwsearch import _native
+
+    gc.disable()
+    cycle = [_native.grid((30, 20))]
+    cycle.append(cycle)
+    del cycle
+    empty, found = np.empty, []
+
+    def collecting(*args, **kwargs):
+        found.append(gc.collect())
+        return empty(*args, **kwargs)
+
+    np.empty = collecting
+    try:
+        held = _native.grid((500, 400))
+    finally:
+        np.empty = empty
+    return found, [b.ctypes.data == held.ctypes.data for b in _native._FREE]
+
+
+def test_a_grid_freed_by_a_collection_inside_the_allocator_does_not_deadlock():
+    # A finalizer that waited for the allocator's lock would never return here.
+    proc = fresh_interpreter("print(json.dumps(t.miss_while_a_collection_frees_a_grid()))", timeout=60)
+    proc.check_returncode()
+    found, free = json.loads(proc.stdout)
+    assert found[0] > 0
+    assert free == [False]  # the cycle's block, given back after the miss emptied the list
+
+
+def test_grids_alive_at_interpreter_exit_go_back_quietly():
+    code = (
+        "from dtwsearch import _native\n"
+        "held = [_native.grid((40, 30)) for _ in range(3)]\n"
+        "t.held = _native.grid((90, 7))[1:]\n"
+        "_native.held = _native.grid((5,), writeable=False)\n"
+    )
+    proc = fresh_interpreter(code, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def faults_of_searches(count):

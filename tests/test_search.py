@@ -1,3 +1,4 @@
+import json
 from dataclasses import fields
 
 import numpy as np
@@ -548,6 +549,14 @@ def test_exclusion_must_be_a_nonnegative_integer(exclusion):
 def test_band_radius_must_be_none_or_a_positive_integer(radius):
     with pytest.raises(InvalidSpec, match="band_radius"):
         SearchOptions(band_radius=radius)
+
+
+def test_numpy_integer_options_serialize_as_json(rng):
+    u, w = random_pair(rng, 40, 30)
+    opts = SearchOptions(band_radius=np.int64(3), exclusion=np.int32(2))
+    assert (type(opts.band_radius), type(opts.exclusion)) == (int, int)
+    doc = json.loads(json.dumps(result_to_json_dict(infer_most_similar(u, w, WindowPair(8, 6), opts))))
+    assert doc["band_radius"] == 3
 
 
 @pytest.mark.parametrize("k", [0, -1, 2.0, "3", True, None])
