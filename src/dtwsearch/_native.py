@@ -16,6 +16,16 @@ allocates its buffers once for a whole scan (Rakthanmanon et al., KDD
 collected. The pool is one free list, emptied whenever no free block fits
 a grid, so it keeps the blocks that were out at once since the last such
 miss.
+
+``split`` runs one compiled call over contiguous parts of its rows or
+placements, one part per CPU the process may use (its affinity, so
+``taskset`` limits it). The calling thread runs the first part and a
+small pool of threads, started on first use, runs the others; ctypes
+lets go of the GIL for every foreign call, so the parts run at the same
+time. Each caller aligns the part boundaries so that every value is
+computed as in one whole call. A call too small to pay for the hand-off,
+or a process on one CPU, runs inline. The pool is dropped in a child
+after ``os.fork()``, which inherits no threads, and started anew there.
 """
 from __future__ import annotations
 
@@ -111,7 +121,8 @@ def _kernel():
 _FIT = 2
 # Blocks whose arrays are all collected, to hand out again. Only grid()
 # takes from it, under _LOCK; an owner's finalizer appends without the
-# lock, since a collection can run it inside grid().
+# lock, since a collection can run it inside grid(). _LOCK also guards
+# the start of split()'s pool.
 _FREE: list = []
 _LOCK = threading.Lock()
 
@@ -168,3 +179,93 @@ def sealed(arr: np.ndarray) -> bool:
     while isinstance(arr, np.ndarray):
         arr = arr.base
     return isinstance(arr, _Owner) and arr.readonly
+
+
+# Work (grid entries, or DP cells) below which a part does not pay for its
+# hand-off to a thread. On a shared 2-core VM a hand-off took 15-30 us, and
+# a part of 2^15 entries or cells about as long.
+_MIN_PART = 1 << 15
+# The parts' queue and the threads serving it, made under _LOCK on first
+# use, and dropped in a child after fork.
+_POOL = None
+
+
+def _serve(tasks) -> None:
+    """A pool thread: run parts from tasks for good, reporting each result or exception to its caller."""
+    while True:
+        call, start, stop, i, done = tasks.get()
+        try:
+            result, exc = call(start, stop), None
+        except BaseException as caught:  # the caller raises it
+            result, exc = None, caught
+        # The caller may drop the grids a part wrote as soon as it hears
+        # back, so the part goes first, and the rest right after.
+        del call
+        done.put((i, result, exc))
+        del result, exc, done
+
+
+def _tasks(threads: int):
+    """The pool's queue, with at least ``threads`` threads serving it."""
+    global _POOL
+    with _LOCK:
+        if _POOL is None:
+            import queue
+
+            _POOL = (queue.SimpleQueue(), [])
+        tasks, serving = _POOL
+        while len(serving) < threads:
+            # Daemon threads: an idle pool never holds up interpreter exit.
+            serving.append(threading.Thread(target=_serve, args=(tasks,), name="dtwsearch-split", daemon=True))
+            serving[-1].start()
+    return tasks
+
+
+def _forget_pool() -> None:
+    # A forked child has only the forking thread: the pool's threads are
+    # gone, and a lock another thread held stays held. Start both anew.
+    global _POOL, _LOCK
+    _POOL, _LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def split(call, total: int, *, unit: int = 1, cost: int = 1) -> list:
+    """[call(start, stop), ...] over [0, total) in contiguous parts, one per CPU, in order.
+
+    Every boundary but ``total`` is a multiple of ``unit``. ``cost`` is the
+    work of one index; a part gets at least _MIN_PART of work, so a small
+    call runs whole in this thread. The calling thread runs the first part
+    while pool threads run the others. ``call`` must be safe to run on
+    disjoint parts at once: each part writes only its own rows, and holds
+    its own scratch memory. Every part has finished when this returns or
+    raises.
+    """
+    units = -(-total // unit)
+    parts = max(1, min(_cpus(), units, total * cost // _MIN_PART))
+    if parts == 1:
+        return [call(0, total)]
+    bounds = [units * i // parts * unit for i in range(parts)] + [total]
+    tasks = _tasks(parts - 1)
+    done = type(tasks)()  # this call's results, on a queue of the same kind
+    for i in range(1, parts):
+        tasks.put((call, bounds[i], bounds[i + 1], i, done))
+    results, errors = [None] * parts, []
+    try:
+        results[0] = call(0, bounds[1])
+    except BaseException as exc:
+        errors.append(exc)
+    for _ in range(1, parts):  # every part must finish before its buffers may go
+        i, results[i], exc = done.get()
+        if exc is not None:
+            errors.append(exc)
+    if errors:
+        raise errors[0]
+    return results

@@ -14,7 +14,8 @@ plus O(nm) for the lower bound's min-pool grid. That is what makes
 pruning cheaper than the search it replaces. The min-pool and the window
 sums run in the compiled library (``_kernel.c``) and make no grid-sized
 temporary; each output grid's memory comes from ``_native.grid``, which
-reuses an earlier search's.
+reuses an earlier search's. Both split their rows over the CPUs the
+process may use (``_native.split``), each entry computed as in one call.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._native import _kernel, grid
+from ._native import _kernel, grid, split
 from .core import WindowOrderViolated, WindowTooLarge, prune_limit
 from .dtw import band_column_ranges
 from .metrics import _entries
@@ -76,14 +77,23 @@ def min_pool(m, omega_w: int) -> np.ndarray:
     One pass per row in the compiled library: running minima within blocks
     of omega_w columns, from each block's start and to its end (van Herk
     1992; Gil & Werman 1993), so each entry costs O(1) whatever the window.
+    Rows are independent, so they run in parts, one per CPU.
     """
     arr = np.ascontiguousarray(_entries(m))
     n, cols = arr.shape
     if not 1 <= omega_w <= cols:
         raise WindowTooLarge(f"omega_w={omega_w} does not fit matrix with {cols} columns")
     out = grid((n, cols - omega_w + 1))
-    work = np.empty(2 * cols)
-    _kernel()[0].min_pool_rows(arr.ctypes.data, n, cols, omega_w, work.ctypes.data, out.ctypes.data)
+    lib = _kernel()[0]
+
+    def part(start, stop):
+        work = np.empty(2 * cols)
+        lib.min_pool_rows(
+            arr.ctypes.data + start * arr.strides[0], stop - start, cols, omega_w, work.ctypes.data,
+            out.ctypes.data + start * out.strides[0],
+        )
+
+    split(part, n, cost=cols)
     return out
 
 
@@ -97,6 +107,10 @@ def _add_window_sums(out: np.ndarray, g: np.ndarray, length: int, step: int, fre
     Runs in the compiled library (``window_sums`` in ``_kernel.c``); g may
     be a view with any row stride. With ``fresh``, out holds nothing yet:
     each entry is written as 0.0 plus its sum, as if out were zeros.
+
+    The rows run in parts, one per CPU, whose boundaries are multiples of
+    ``length``: the blocks start where they start in one call, so every
+    entry sums the same terms in the same order.
     """
     rows, cols = out.shape
     width = cols + step * (length - 1)
@@ -111,11 +125,16 @@ def _add_window_sums(out: np.ndarray, g: np.ndarray, length: int, step: int, fre
         and step >= 0
     ):
         raise ValueError(f"window sums of length {length}, step {step} do not fit grids {out.shape} and {g.shape}")
-    work = np.empty((length + 1) * _STRIP)
-    _kernel()[0].window_sums(
-        out.ctypes.data, rows, cols, g.ctypes.data, g.strides[0] // g.itemsize, length, step, fresh, _STRIP,
-        work.ctypes.data,
-    )
+    lib = _kernel()[0]
+
+    def part(start, stop):
+        work = np.empty((length + 1) * _STRIP)
+        lib.window_sums(
+            out.ctypes.data + start * out.strides[0], stop - start, cols, g.ctypes.data + start * g.strides[0],
+            g.strides[0] // g.itemsize, length, step, fresh, _STRIP, work.ctypes.data,
+        )
+
+    split(part, rows, unit=length, cost=cols)
 
 
 def lower_bound_matrix(pool: np.ndarray, omega_u: int) -> np.ndarray:

@@ -61,9 +61,11 @@ def ingest_csv(path) -> TimeSeries:
     """Parse a CSV of rows=time steps, columns=dimensions.
 
     A single non-numeric first row is treated as a header. Ragged rows
-    and non-finite values are rejected with the offending line cited.
+    and non-finite values are rejected with the offending line cited. A
+    UTF-8 byte-order mark, as spreadsheet programs write, is dropped, so
+    it cannot make the first data row look like a header.
     """
-    text = Path(path).read_text()
+    text = Path(path).read_text(encoding="utf-8-sig")
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if line.strip() == "":

@@ -16,7 +16,8 @@ placement, in fixed chunks.
 
 The library is compiled with ``cc`` on first use, not at import, and
 loaded through ctypes (``_native``); a missing or failing compiler raises
-``KernelCompileError``.
+``KernelCompileError``. A batch runs in parts of whole groups, one per
+CPU the process may use (``_native.split``).
 
 The independent checks share no code with the kernel:
 ``dtw_path_oracle`` literally enumerates every warping path of a tiny
@@ -40,7 +41,7 @@ from .core import (
     WindowTooLarge,
     is_integer,
 )
-from ._native import _kernel, grid
+from ._native import _kernel, grid, split
 from .metrics import _entries
 
 _ORACLE_MAX_WINDOW = 8
@@ -203,6 +204,11 @@ def dtw_batch(m, omega_u: int, omega_w: int, a0, b0, *, radius: int | None = Non
     different orders, so they round apart: the caller pads the threshold
     with ``prune_limit``, and then every distance at or below the unpadded
     threshold comes back exact.
+
+    The placements run in contiguous parts, one per CPU, whose boundaries
+    are multiples of the lane count, under the one threshold of the call:
+    every group, the padded last one included, is the group of one whole
+    call, and the cell count is the sum of the parts'.
     """
     arr = np.ascontiguousarray(_entries(m))
     n, cols = arr.shape
@@ -231,12 +237,16 @@ def dtw_batch(m, omega_u: int, omega_w: int, a0, b0, *, radius: int | None = Non
         pool_ptr, pcols, limit = pool.ctypes.data, pool.shape[1], float(threshold)
     lib, lanes = _kernel()
     out = np.empty(a0.size)
-    work = np.empty((2 * (omega_w + 1) + omega_u) * lanes)
-    cells = lib.dtw_lockstep(
-        arr.ctypes.data, cols, omega_u, omega_w, lo.ctypes.data, hi.ctypes.data, a0.ctypes.data,
-        b0.ctypes.data, a0.size, pool_ptr, pcols, limit, work.ctypes.data, out.ctypes.data,
-    )
-    return out, cells
+
+    def part(start, stop):
+        work = np.empty((2 * (omega_w + 1) + omega_u) * lanes)
+        return lib.dtw_lockstep(
+            arr.ctypes.data, cols, omega_u, omega_w, lo.ctypes.data, hi.ctypes.data,
+            a0.ctypes.data + start * a0.itemsize, b0.ctypes.data + start * b0.itemsize, stop - start, pool_ptr,
+            pcols, limit, work.ctypes.data, out.ctypes.data + start * out.itemsize,
+        )
+
+    return out, sum(split(part, a0.size, unit=lanes, cost=int((hi - lo + 1).sum())))
 
 
 def dtw_matrix_full(m, omega_u: int, omega_w: int, *, radius: int | None = None) -> np.ndarray:

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._native import _kernel, grid, sealed
+from ._native import _kernel, grid, sealed, split
 from .core import DimensionMismatch, SeriesTooShort, TimeSeries
 
 
@@ -40,12 +40,24 @@ def _entries(m) -> np.ndarray:
 
 
 def distance_matrix(u: TimeSeries, w: TimeSeries) -> DistanceMatrix:
-    """entries[i, j] = dist(u_i, w_j): squares summed in dimension order from 0.0, then one root."""
+    """entries[i, j] = dist(u_i, w_j): squares summed in dimension order from 0.0, then one root.
+
+    Rows are independent, so ``_native.split`` builds them in parts, one
+    per CPU; each entry is the same at any thread count.
+    """
     if u.dims != w.dims:
         raise DimensionMismatch(f"series dims differ: {u.dims} vs {w.dims}")
     rows, cols = np.ascontiguousarray(u.values), np.ascontiguousarray(w.values.T)
     entries = grid((u.length, w.length), writeable=False)
-    _kernel()[0].distance_rows(rows.ctypes.data, u.length, cols.ctypes.data, w.length, u.dims, entries.ctypes.data)
+    lib = _kernel()[0]
+
+    def part(start, stop):
+        lib.distance_rows(
+            rows.ctypes.data + start * rows.strides[0], stop - start, cols.ctypes.data, w.length, u.dims,
+            entries.ctypes.data + start * entries.strides[0],
+        )
+
+    split(part, u.length, cost=w.length * u.dims)
     return DistanceMatrix(entries=entries)
 
 

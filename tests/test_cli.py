@@ -34,6 +34,14 @@ def test_ingest_header_skipped(tmp_path):
     assert ts.values.tolist() == [[0.0, 0.0], [1.0, 2.0]]
 
 
+def test_ingest_keeps_the_first_row_after_a_byte_order_mark(tmp_path):
+    path = tmp_path / "a.csv"
+    path.write_bytes(b"\xef\xbb\xbf0,0\n1,2\n3,4\n")
+    assert ingest_csv(path).values.tolist() == [[0.0, 0.0], [1.0, 2.0], [3.0, 4.0]]
+    path.write_bytes(b"\xef\xbb\xbfx,y\n1,2\n")
+    assert ingest_csv(path).values.tolist() == [[1.0, 2.0]]
+
+
 def test_ingest_ragged_cites_line(tmp_path):
     with pytest.raises(RaggedRows, match=":2:"):
         ingest_csv(write(tmp_path / "a.csv", "0,0\n1\n"))
