@@ -5,7 +5,10 @@ behind ``metrics.distance_matrix``, ``bounds.min_pool`` and the bound
 grids' window sums. It is compiled with ``cc`` on first use, not at
 import, and cached in this package's ``__pycache__`` under a hash of its
 source and flags; a missing or failing compiler raises
-``KernelCompileError``.
+``KernelCompileError``. Where that directory cannot be written (a
+read-only install), it is cached in ``$XDG_CACHE_HOME/dtwsearch`` (else
+``~/.cache/dtwsearch``), and failing that built into a private temporary
+directory.
 
 ``grid`` hands out the memory of every grid-sized float64 array: the
 distance matrix, the min-pool, lower- and upper-bound grids and the
@@ -52,7 +55,8 @@ from .core import KernelCompileError
 # the distance matrix's square roots vectorize: it only drops errno for a
 # negative argument, and a sum of squares is never negative.
 _COMPILE = ("cc", "-O3", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
-# Where built libraries are kept, one file per hash of source and command.
+# Where built libraries are kept, one file per hash of source and command
+# (_build falls back to other directories when this one cannot be written).
 _CACHE_DIR = Path(__file__).with_name("__pycache__")
 _SOURCE = Path(__file__).with_name("_kernel.c")
 
@@ -75,17 +79,30 @@ def _library_path(source: bytes) -> Path:
     return _CACHE_DIR / f"_kernel-{key}.so"
 
 
-def _build(path: Path) -> None:
-    """Compile _SOURCE to path, through a temporary file in the same directory.
+def _build(path: Path) -> Path:
+    """Compile _SOURCE to path, through a temporary file in the same directory; returns where it went.
 
-    The finished library is moved into place by one rename, so a process
-    that builds it at the same time never loads a half-written file.
+    Where path's directory cannot be written, the library goes under the
+    same name to the per-user cache, where it may be found built before;
+    failing that, to a private temporary directory. The finished library
+    is moved into place by one rename, so a process that builds it at the
+    same time never loads a half-written file.
     """
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(prefix=path.stem + "-", suffix=".tmp", dir=path.parent)
-    except OSError as exc:
-        raise KernelCompileError(f"cannot write the compiled library to {path.parent}: {exc}") from exc
+    user = Path(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"), "dtwsearch", path.name)
+    failed = []
+    for place in (path, user, None):
+        try:
+            if place is None:
+                place = Path(tempfile.mkdtemp(prefix="dtwsearch-"), path.name)
+            if place.exists():  # built before, or just now by another process
+                return place
+            place.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(prefix=path.stem + "-", suffix=".tmp", dir=place.parent)
+            break
+        except OSError as exc:
+            failed.append(f"{'a temporary directory' if place is None else place.parent}: {exc}")
+    else:
+        raise KernelCompileError("cannot write the compiled library to " + "; ".join(failed))
     os.close(fd)
     command = [*_COMPILE, "-o", tmp, str(_SOURCE)]
     try:
@@ -98,19 +115,18 @@ def _build(path: Path) -> None:
                 f"building the library with `{shlex.join(command)}` exited with {done.returncode}:\n{done.stderr}"
             )
         os.chmod(tmp, 0o755)
-        os.replace(tmp, path)
+        os.replace(tmp, place)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    return place
 
 
 @lru_cache(maxsize=None)
 def _kernel():
     """The compiled library, every routine's signature declared, and the DTW kernel's lane count."""
     path = _library_path(_SOURCE.read_bytes())
-    if not path.exists():
-        _build(path)
-    lib = ctypes.CDLL(str(path))
+    lib = ctypes.CDLL(str(path if path.exists() else _build(path)))
     for name, (restype, argtypes) in _SIGNATURES.items():
         fn = getattr(lib, name)
         fn.restype, fn.argtypes = restype, argtypes

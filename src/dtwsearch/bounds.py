@@ -1,12 +1,15 @@
-"""Lower/upper DTW bound matrices over all window placements.
+"""Lower- and upper-bound DTW grids over all window placements.
 
 The lower bound sums, for each row the longer window passes through, the
-minimum pointwise distance within the shorter window's column span. The
-upper bound is the cost of one valid warping path inside the band the
-search evaluates (upper_bound_path), so it can never undercut the DTW the
-search computes. Any placement whose lower bound exceeds the k-th smallest
-entry of the upper-bound matrix provably cannot be among the k best; at
-k=1 that entry is the global minimum.
+minimum pointwise distance within the shorter window's column span; it
+never exceeds the windowed DTW at its placement. The search builds only
+the min-pool and this grid (compute_bounds) and takes its thresholds from
+exact DTW, so a placement whose lower bound exceeds the k-th best
+distance found is skipped. The upper bound is the cost of one valid
+warping path inside the band (upper_bound_path), so it never undercuts
+the DTW under that band; the paper prunes by its minimum. The search no
+longer builds it: it is what ``--dump-bounds`` writes and what the
+sandwich tests check.
 
 Both grids sum their windows with one routine (_add_window_sums), not by
 rescanning omega cells per entry: O(nm) per straight segment of a path,
@@ -24,11 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._native import _kernel, grid, split
-from .core import WindowOrderViolated, WindowTooLarge, prune_limit
+from .core import WindowOrderViolated, WindowTooLarge
 from .dtw import band_column_ranges
 from .metrics import _entries
 
-_BLOCK_ROWS = 16  # rows per pass of the sandwich check: a block and its temporaries stay in cache
 # Columns per strip of the window sums: a strip's prefix sums, one row of
 # them per window row, stay in cache until its entries of out are written.
 _STRIP = 256
@@ -40,31 +42,22 @@ class BoundMatrices:
 
     min_pool:  n x (m - omega_w + 1), row-window minima of the distance matrix.
     min_path:  lower-bound grid over all placements.
-    max_path:  upper-bound grid (cost of one in-band path) over all placements;
-               its k-th smallest entry is the first prune threshold of top-k.
     """
 
     min_pool: np.ndarray
     min_path: np.ndarray
-    max_path: np.ndarray
 
     def __post_init__(self):
-        for name in ("min_pool", "min_path", "max_path"):
+        for name in ("min_pool", "min_path"):
             arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if self.min_path.shape != self.max_path.shape:
-            raise WindowTooLarge(
-                f"bound grids disagree in shape: {self.min_path.shape} vs {self.max_path.shape}"
-            )
-        # Sandwich must hold up to the prune's rounding pad; in row blocks, so no grid-sized temporary.
-        # prune_limit(x) >= x, so the pad is only built for a block that fails without it.
-        for lo in range(0, self.shape[0], _BLOCK_ROWS):
-            low, high = self.min_path[lo : lo + _BLOCK_ROWS], self.max_path[lo : lo + _BLOCK_ROWS]
-            if not np.all(low <= high) and not np.all(low <= prune_limit(high)):
-                raise WindowOrderViolated(
-                    "lower bound exceeds upper bound by more than the rounding pad; the bound sums lost precision"
-                )
+
+    @property
+    def max_path(self) -> np.ndarray:
+        """Always empty: no upper-bound grid is built. Its one reader is the benchmark tracer
+        (``dtwbench/spans.py``), which adds its bytes to the grids' until it reads ``SearchStats``."""
+        return np.empty((0, 0))
 
     @property
     def shape(self):
@@ -156,7 +149,7 @@ def _check_window_order(arr: np.ndarray, omega_u: int, omega_w: int):
     n, m = arr.shape
     if omega_u < omega_w:
         raise WindowOrderViolated(
-            f"upper bound requires omega_u >= omega_w, got ({omega_u}, {omega_w}); "
+            f"the bound grids require omega_u >= omega_w, got ({omega_u}, {omega_w}); "
             "swap the series first"
         )
     if omega_u > n or omega_w > m:
@@ -207,18 +200,12 @@ def upper_bound_matrix(m, omega_u: int, omega_w: int, radius: int | None = None)
     return out
 
 
-def compute_bounds(m, omega_u: int, omega_w: int, *, radius: int | None = None) -> BoundMatrices:
-    """Build all bound grids for one search instance.
+def compute_bounds(m, omega_u: int, omega_w: int) -> BoundMatrices:
+    """Build the min-pool and the lower-bound grid for one search instance.
 
-    radius is the band the search evaluates DTW under (None for no band);
-    the upper bound prices a path inside it, so the prune threshold is
-    valid for that distance.
+    The lower bound holds under any band, since a band only removes paths.
     """
     arr = _entries(m)
     _check_window_order(arr, omega_u, omega_w)
     pool = min_pool(arr, omega_w)
-    return BoundMatrices(
-        min_pool=pool,
-        min_path=lower_bound_matrix(pool, omega_u),
-        max_path=upper_bound_matrix(arr, omega_u, omega_w, radius),
-    )
+    return BoundMatrices(min_pool=pool, min_path=lower_bound_matrix(pool, omega_u))

@@ -32,7 +32,7 @@ from .core import (
     TimeSeries,
     WindowPair,
 )
-from .bounds import compute_bounds
+from .bounds import compute_bounds, upper_bound_matrix
 from .dtw import default_band_radius
 from .evaluation import lead_difference, score_intervals
 from .search import (
@@ -133,9 +133,9 @@ def run_search(args: argparse.Namespace) -> int:
 
 def _dump_bounds(u, w, wp, args: argparse.Namespace, prefix):
     _, m, wu, ww, swapped = _start(u, w, wp, _search_options(args))  # the search's own prologue
-    bm = compute_bounds(m, wu, ww, radius=args.band)
+    grids = (compute_bounds(m, wu, ww).min_path, upper_bound_matrix(m, wu, ww, args.band))
     note = "series were swapped (omega_b > omega_a): rows index --b, cols index --a" if swapped else "rows index --a, cols index --b"
-    for name, grid in (("minpath", bm.min_path), ("maxpath", bm.max_path)):
+    for name, grid in zip(("minpath", "maxpath"), grids):
         _write_grid_csv(
             grid,
             f"{prefix}.{name}.csv",

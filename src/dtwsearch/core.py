@@ -196,24 +196,25 @@ class SearchStats:
     """Instrumentation counters for one search run.
 
     pairs_total is the number of window placements, pairs_after_prune the
-    number surviving the bound-based prune, dtw_evaluations the number of
-    placements whose exact DTW was started, and dp_cells the number of DP
-    cells computed for them (fewer than evaluations times window cells when
-    placements are abandoned early).
+    number surviving the bound-based prune (the last round's candidates,
+    the seed among them), dtw_evaluations the number of placements whose
+    exact DTW was started, the seed's included, and dp_cells the number of
+    DP cells computed for them, each seed's once (fewer than evaluations
+    times window cells when placements are abandoned early).
 
     lb_tightness is the lower bound at the winner (the smallest tied
     optimum, or the rank-1 match of top-k) divided by its DTW: near 1 the
     prune can keep few placements, near 0 it keeps most (1.0 when both are
     0, and 0.0 for brute force, which has no bounds). peak_grid_bytes is
-    the size of the grids a search holds: the distance matrix plus the
-    min-pool, lower- and upper-bound grids (for brute force, the distance
+    the size of the three grids a search holds: the distance matrix, the
+    min-pool and the lower-bound grid (for brute force, the distance
     matrix plus its table of every distance).
 
     The stage timings split runtime_ms: normalize_ms (validation, z-score
     and the orientation swap), distance_ms (the pointwise distance matrix),
-    bounds_ms (the min-pool, lower- and upper-bound grids), candidates_ms
-    (the prune threshold and the filter) and evaluate_ms (the seed, exact
-    DTW and ranking). A stage an entry point does not run stays 0.0.
+    bounds_ms (the min-pool and the lower-bound grid), candidates_ms (the
+    filter, and an exclusion round's threshold) and evaluate_ms (the
+    seed's choice and its exact DTW, then exact DTW and ranking). A stage an entry point does not run stays 0.0.
 
     The field order is the order of the result JSON's stats and of the
     bench CSV's columns.

@@ -1,17 +1,20 @@
 """Pruned top-k search for the most similar subsequence pairs, and brute force.
 
-The pruned search keeps the placements whose lower bound does not exceed
-the k-th smallest upper bound. It evaluates exact DTW first on a seed,
-the candidates with the smallest lower bounds, as the UCR suite seeds its
-best-so-far (Rakthanmanon et al., KDD 2012), then walks the others once
-in start order and skips each whose lower bound exceeds the threshold:
-the k-th best distance found, or that upper bound until k are found. The
-threshold never falls below the final k-th distance and the lower bound
-never overshoots the true distance, so every placement among the k best
-is evaluated exactly and the ranking provably equals the brute-force
-one. The single optimum is the case k=1: its tie set is every evaluated
-placement within the tie tolerance of the smallest distance, again equal
-to brute force's.
+The pruned search builds the lower-bound grid only. It first runs exact
+DTW on a seed, max(16, 4k) placements with small lower bounds taken a few
+from each row, as the UCR suite seeds its best-so-far (Rakthanmanon et
+al., KDD 2012). The filter keeps every placement whose lower bound does
+not exceed the larger of the seed's k-th distance and its largest lower
+bound, so every seed is a candidate. The walk then takes the other
+candidates once in start order and skips each whose lower bound exceeds
+the threshold, the k-th best distance found. The threshold never falls
+below the final k-th distance and the lower bound never overshoots the
+true distance, so every placement among the k best is evaluated exactly
+and the ranking provably equals the brute-force one. The single optimum
+is the case k=1: its tie set is every evaluated placement within the tie
+tolerance of the smallest distance, again equal to brute force's. (The
+paper prunes by the minimum of an upper-bound grid instead; the answers
+are the same.)
 
 The walk feeds the batch kernel fixed chunks, each in start order, and
 lowers the threshold after each. The kernel skips a DP cell when, for
@@ -47,8 +50,8 @@ from .bounds import BoundMatrices, compute_bounds
 from .dtw import dtw_batch, dtw_matrix_full, window_cells
 from .metrics import distance_matrix, z_normalize
 
-# The seed is the max(_SEED_MIN, _SEED_PER_K * k) smallest lower bounds; 4 per
-# k computed the fewest DP cells on six k=1000 searches (see CHANGES.md).
+# The seed is max(_SEED_MIN, _SEED_PER_K * k) placements with small lower
+# bounds; 4 per k computed the fewest DP cells on six k=1000 searches (see CHANGES.md).
 _SEED_MIN, _SEED_PER_K = 16, 4
 _CHUNK = 4096  # candidates per step of the start-order walk
 
@@ -151,22 +154,43 @@ def find_candidates(bm: BoundMatrices, *, threshold: float) -> Candidates:
     return Candidates(a=a, b=b, lower_bounds=lower)
 
 
+def _seed(lower: np.ndarray, count: int) -> np.ndarray:
+    """Flat indices, ascending, of the ``count`` smallest of each row's q = ceil(count / rows) smallest lower bounds.
+
+    Every placement if there are no more. At q = 1 that is one argmin pass,
+    1.1 ms against 14.8 ms for a partition of a whole 1821x1881 grid (2-core Xeon VM).
+    """
+    rows, cols = lower.shape
+    if count >= lower.size:
+        return np.arange(lower.size)
+    q = -(-count // rows)
+    if q == 1:
+        col = lower.argmin(axis=1)[:, None]
+    else:
+        # A few rows at a time, so that no index array of the whole grid is made.
+        step = max(1, _CHUNK // cols)
+        col = np.concatenate([np.argpartition(lower[r : r + step], q - 1, axis=1)[:, :q] for r in range(0, rows, step)])
+    flat = (col + np.arange(0, lower.size, cols)[:, None]).ravel()
+    if flat.size > count:
+        flat = flat[np.argpartition(lower.ravel()[flat], count - 1)[:count]]
+    return np.sort(flat)
+
+
 def _evaluate(m, omega_u, omega_w, cands: Candidates, bm: BoundMatrices, k, bound, radius, d=None):
     """Exact DTW of the candidates that can rank, under a falling threshold.
 
     The threshold is the smaller of ``bound`` and the k-th smallest
-    distance found so far. The seed, the max(_SEED_MIN, _SEED_PER_K * k)
-    candidates with the smallest lower bounds, goes first; then the walk
-    takes the others in start order, ``_CHUNK`` at a time, skips each whose
-    lower bound exceeds the threshold, and lowers it after each chunk.
-    Returns (d, kth, dp_cells): d[i] is candidate i's distance, +inf
-    where abandoned above the threshold it ran under, nan where skipped;
-    kth is the k-th smallest distance found, or the threshold while fewer
-    than k are found within its pad.
+    distance found so far. The walk takes the candidates in start order,
+    ``_CHUNK`` at a time, skips each whose lower bound exceeds the
+    threshold, and lowers it after each chunk. Returns (d, kth, dp_cells):
+    d[i] is candidate i's distance, +inf where abandoned above the
+    threshold it ran under, nan where skipped; kth is the k-th smallest
+    distance found, or the threshold while fewer than k are found within
+    its pad.
 
-    ``d`` carries an earlier call's distances, aligned with these
-    candidates (nan where not evaluated); a carried +inf runs again when
-    the threshold admits its lower bound.
+    ``d`` carries distances found before (the seed's, or an earlier
+    round's), aligned with these candidates (nan where not evaluated); a
+    carried +inf runs again when the threshold admits its lower bound.
     """
     lbs = cands.lower_bounds
     d = np.full(lbs.size, np.nan) if d is None else np.where(np.isinf(d), np.nan, d)
@@ -175,41 +199,26 @@ def _evaluate(m, omega_u, omega_w, cands: Candidates, bm: BoundMatrices, k, boun
     def lower(found):
         # top holds the k smallest distances within the padded threshold (or
         # all of them while fewer). The k-th of them lowers the threshold, but
-        # may sit a rounding above it: the k-th upper bound and the k-th
-        # distance add the same costs in different orders.
+        # may sit above it, within the pad the kernel ran under.
         nonlocal thr, top
         top = np.concatenate((top, found[found <= prune_limit(thr)]))
         if top.size >= k:
             top = np.partition(top, k - 1)[:k]
             thr = min(thr, float(top[-1]))
 
-    def pending(part):
-        # Not yet evaluated, and the threshold admits the lower bound.
-        return np.isnan(d[part]) & (lbs[part] <= prune_limit(thr))
-
-    def run(idx):
-        # idx ascends, so neighbouring placements share a lane group and
-        # their live columns, and the kernel trims more of each row.
-        nonlocal cells
+    lower(d)
+    for pos in range(0, lbs.size, _CHUNK):
+        part = slice(pos, pos + _CHUNK)
+        # Not yet evaluated, and the threshold admits the lower bound. idx
+        # ascends, so neighbouring placements share a lane group and their
+        # live columns, and the kernel trims more of each row.
+        idx = pos + np.flatnonzero(np.isnan(d[part]) & (lbs[part] <= prune_limit(thr)))
         if idx.size:
             a0, b0, limit = cands.a[idx] - 1, cands.b[idx] - 1, prune_limit(thr)
             d[idx], c = dtw_batch(m, omega_u, omega_w, a0, b0, radius=radius, threshold=limit, pool=bm.min_pool)
             cells += c
             lower(d[idx])
-
-    lower(d)
-    seeds = max(_SEED_MIN, _SEED_PER_K * k)
-    if seeds < lbs.size:
-        seed = np.sort(np.argpartition(lbs, seeds - 1)[:seeds])
-        run(seed[pending(seed)])
-    for pos in range(0, lbs.size, _CHUNK):
-        run(pos + np.flatnonzero(pending(slice(pos, pos + _CHUNK))))
     return d, (float(top[-1]) if top.size >= k else thr), cells
-
-
-def _kth_smallest(values: np.ndarray, k: int) -> float:
-    # min() skips the copy np.partition makes: 2.5 ms against 15 ms on a 1840x1900 grid (2-core Xeon VM).
-    return float(values.min()) if k == 1 else float(np.partition(values.ravel(), k - 1)[k - 1])
 
 
 def _spread(ranked: np.ndarray, a: np.ndarray, b: np.ndarray, shape, exclusion: int, k: int) -> np.ndarray:
@@ -287,7 +296,7 @@ class _Ranking:
             dtw_evaluations=self.d.size - int(np.count_nonzero(np.isnan(self.d))),
             dp_cells=self.dp_cells,
             lb_tightness=lower / distance if distance > 0 else 1.0,
-            peak_grid_bytes=sum(g.nbytes for g in (self.m, self.bm.min_pool, self.bm.min_path, self.bm.max_path)),
+            peak_grid_bytes=sum(g.nbytes for g in (self.m, self.bm.min_pool, self.bm.min_path)),
             **self.clock.fields(),
         )
 
@@ -295,33 +304,33 @@ class _Ranking:
 def _rank(u: TimeSeries, w: TimeSeries, wp: WindowPair, k: int, opts: SearchOptions) -> _Ranking:
     """The pruned search: the k best placements (fewer if fewer exist), ranked and spread by exclusion."""
     clock, m, wu, ww, swapped = _start(u, w, wp, opts)
-    bm = compute_bounds(m, wu, ww, radius=opts.band_radius)
+    bm = compute_bounds(m, wu, ww)
     clock.lap("bounds_ms")
-    total = int(bm.min_path.size)
+    total, cols = int(bm.min_path.size), bm.shape[1]
     k = min(k, total)
 
-    # The first round ranks the k best placements, which is the answer
-    # without exclusion. Where exclusion leaves fewer picks, each later round
-    # raises the distance threshold to the kk-th smallest upper bound and
-    # ranks every placement at or below it; kk reaching every placement
-    # makes the threshold the largest upper bound, which ranks them all.
-    # Each round's candidates contain the previous round's, both in start
-    # order, so the distances found carry over by flat index.
+    # The first threshold is the larger of the seed's k-th distance and its
+    # largest lower bound, so every seed is a candidate. The first round
+    # ranks the k best placements, the answer without exclusion. Where
+    # exclusion leaves fewer picks, each later round raises the threshold
+    # to the kk-th smallest lower bound (+inf once kk is every placement)
+    # and ranks every placement at or below it: a distance there puts its
+    # lower bound there too. Each round's candidates contain the previous
+    # round's (the seed's first), in start order, so distances carry over
+    # by flat index.
+    flat = _seed(bm.min_path, max(_SEED_MIN, _SEED_PER_K * k))
+    d, cells = dtw_batch(m.entries, wu, ww, flat // cols, flat % cols, radius=opts.band_radius)
+    bound = max(float(np.partition(d, k - 1)[k - 1]), float(bm.min_path.ravel()[flat].max()))
+    clock.lap("evaluate_ms")
     kk = need = k
-    d = cands = None
-    cells = 0
     while True:
-        bound = _kth_smallest(bm.max_path, kk)
-        prev, cands = cands, find_candidates(bm, threshold=bound)
+        cands = find_candidates(bm, threshold=bound)
         clock.lap("candidates_ms")
-        if prev is not None:
-            cols = bm.shape[1]
-            carried = np.full(len(cands), np.nan)
-            carried[np.searchsorted(cands.a * cols + cands.b, prev.a * cols + prev.b)] = d
-            d = carried
-        d, kth, c = _evaluate(m.entries, wu, ww, cands, bm, need, bound, opts.band_radius, d)
-        cells += c
         a, b = cands.a, cands.b
+        carried = np.full(len(cands), np.nan)
+        carried[np.searchsorted((a - 1) * cols + b - 1, flat)] = d
+        d, kth, c = _evaluate(m.entries, wu, ww, cands, bm, need, bound, opts.band_radius, carried)
+        cells += c
         ra, rb = (b, a) if swapped else (a, b)
         # Every placement with distance <= kth was evaluated exactly, so
         # this ranking is exact.
@@ -335,7 +344,8 @@ def _rank(u: TimeSeries, w: TimeSeries, wp: WindowPair, k: int, opts: SearchOpti
         # fills up; aim at the threshold that estimate needs, at least
         # doubling kk so that the rounds stay few.
         kk = min(total, max(2 * kk, kk * k // max(chosen.size, 1)))
-        need = total
+        need, flat = total, (a - 1) * cols + b - 1
+        bound = np.inf if kk == total else max(bound, float(np.partition(bm.min_path.ravel(), kk - 1)[kk - 1]))
     return _Ranking(clock, m.entries, bm, len(cands), d, a, b, ra, rb, swapped, chosen, cells)
 
 
@@ -407,8 +417,8 @@ def top_k_search(
     """Exact k smallest windowed-DTW placements, ascending.
 
     A placement is discarded only when its lower bound exceeds the current
-    k-th smallest verified distance, initialized with the k-th smallest
-    upper bound. Ties are ordered lexicographically by (a, b). Asking for
+    k-th smallest verified distance, initialized from the seed's exact
+    distances. Ties are ordered lexicographically by (a, b). Asking for
     more matches than placements is not an error: the result is truncated
     and flagged.
 

@@ -38,8 +38,10 @@ def traced(call):
         lambda search, u, w: search.infer_most_similar(u, w, WindowPair(8, 6)),
         lambda search, u, w: search.infer_most_similar(u, w, WindowPair(8, 6), SearchOptions(band_radius=2)),
         lambda search, u, w: search.top_k_search(u, w, WindowPair(8, 6), 5),
+        # More than one round, each carrying the seed's and the last round's distances.
+        lambda search, u, w: search.top_k_search(u, w, WindowPair(8, 6), 5, SearchOptions(exclusion=2)),
     ],
-    ids=["infer_most_similar", "infer_most_similar-banded", "top_k_search"],
+    ids=["infer_most_similar", "infer_most_similar-banded", "top_k_search", "top_k_search-exclusion"],
 )
 def test_tracer_counts_every_layer(rng, call):
     u = TimeSeries(values=rng.normal(size=(40, 2)))

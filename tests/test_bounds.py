@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from dtwsearch import (
-    BoundMatrices,
     WindowOrderViolated,
     WindowTooLarge,
     compute_bounds,
@@ -125,7 +124,7 @@ def test_sandwich_property(rng):
         ii, jj = np.meshgrid(np.arange(pa), np.arange(pb), indexing="ij")
         exact = dtw_batch(mat, wu, ww, ii.ravel(), jj.ravel())[0].reshape(pa, pb)
         assert np.all(bm.min_path <= exact * (1 + 1e-9) + 1e-9)
-        assert np.all(exact <= bm.max_path * (1 + 1e-9) + 1e-9)
+        assert np.all(exact <= upper_bound_matrix(mat, wu, ww) * (1 + 1e-9) + 1e-9)
 
 
 def test_window_one_collapses_bounds_to_exact(rng):
@@ -135,7 +134,7 @@ def test_window_one_collapses_bounds_to_exact(rng):
     pa, pb = bm.min_path.shape
     exact = np.array([[dtw_windowed(mat, wu, 1, (i + 1, j + 1)) for j in range(pb)] for i in range(pa)])
     assert np.allclose(bm.min_path, exact, atol=1e-9)
-    assert np.allclose(bm.max_path, exact, atol=1e-9)
+    assert np.allclose(upper_bound_matrix(mat, wu, 1), exact, atol=1e-9)
 
 
 def test_fixed_upper_path_is_valid_for_all_window_orders():
@@ -297,37 +296,21 @@ def test_window_sums_refuse_grids_they_do_not_fit():
         _add_window_sums(np.empty((4, 4)), g[:, ::2], 4, 0, True)  # columns are not adjacent
 
 
-def test_sandwich_check_raises_only_past_the_slack():
-    # The slack at an upper bound of 1e3 is 1e-9 + 1e-12 * 1e3 = 2e-9. The
-    # gap sits in row 37 of 40: past two full blocks of 16 rows.
-    high = np.full((40, 3), 1e3)
-    pool = np.zeros((42, 3))
-    for gap, raises in ((1e-9, False), (1e-6, True)):
-        low = np.full((40, 3), 1e3)
-        low[37, 2] += gap
-        if raises:
-            with pytest.raises(WindowOrderViolated):
-                BoundMatrices(min_pool=pool, min_path=low, max_path=high)
-        else:
-            BoundMatrices(min_pool=pool, min_path=low, max_path=high)
-
-
-def kept(bm):
-    """1-based placements that survive the prune."""
-    cands = find_candidates(bm, threshold=bm.max_path.min())
+def kept(mat, wu, ww):
+    """1-based placements that survive the paper's prune, by the smallest upper bound."""
+    cands = find_candidates(compute_bounds(mat, wu, ww), threshold=upper_bound_matrix(mat, wu, ww).min())
     return set(zip(cands.a.tolist(), cands.b.tolist()))
 
 
 def test_prune_predicate_worked_example():
-    bm = compute_bounds(WORKED, 2, 2)
-    assert (2, 1) not in kept(bm)
-    assert (1, 1) in kept(bm)  # ties survive: the prune is strict
+    assert (2, 1) not in kept(WORKED, 2, 2)
+    assert (1, 1) in kept(WORKED, 2, 2)  # ties survive: the prune is strict
 
 
 def test_prune_predicate_zero_matrix():
     bm = compute_bounds(np.zeros((5, 4)), 2, 2)
     pa, pb = bm.min_path.shape
-    assert kept(bm) == {(i, j) for i in range(1, pa + 1) for j in range(1, pb + 1)}
+    assert kept(np.zeros((5, 4)), 2, 2) == {(i, j) for i in range(1, pa + 1) for j in range(1, pb + 1)}
 
 
 def test_prune_soundness_against_brute_force(rng):
@@ -344,7 +327,7 @@ def test_prune_soundness_against_brute_force(rng):
         ii, jj = np.meshgrid(np.arange(pa), np.arange(pb), indexing="ij")
         exact = dtw_batch(mat, wu, ww, ii.ravel(), jj.ravel())[0].reshape(pa, pb)
         best = exact.min()
-        survivors = kept(bm)
+        survivors = kept(mat, wu, ww)
         for i in range(pa):
             for j in range(pb):
                 if (i + 1, j + 1) not in survivors:

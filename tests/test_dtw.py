@@ -1,18 +1,29 @@
+import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dtwsearch
 from dtwsearch import (
     TIE_TOLERANCE,
     BandInfeasible,
     IndexOutOfRange,
     InstanceTooLarge,
     KernelCompileError,
+    TimeSeries,
+    WindowPair,
     band_column_ranges,
     default_band_radius,
     dtw_batch,
     dtw_matrix_full,
     dtw_path_oracle,
     dtw_windowed,
+    infer_most_similar,
 )
 from dtwsearch.bounds import min_pool
 from dtwsearch.core import prune_limit
@@ -344,6 +355,40 @@ def test_cached_kernel_is_loaded_without_compiling(monkeypatch, tmp_path, fresh_
     monkeypatch.setattr(_native.subprocess, "run", no_compiler)
     assert dtw_batch(WORKED, 2, 2, [1], [0])[0][0] == 2.0
     assert list(tmp_path.iterdir()) == built
+
+
+def test_read_only_install_builds_the_library_elsewhere(tmp_path):
+    # A file where the package's __pycache__ would go: as root a directory's
+    # mode does not stop writes, but a file blocks the directory for anyone.
+    # The package is a copy, so the checkout's own __pycache__ is never touched.
+    package = tmp_path / "site" / "dtwsearch"
+    shutil.copytree(Path(dtwsearch.__file__).parent, package, ignore=shutil.ignore_patterns("__pycache__"))
+    (package / "__pycache__").write_text("")
+    (tmp_path / "tmp").mkdir()
+    code = (
+        "import json, numpy as np, dtwsearch as d, dtwsearch._native as n\n"
+        "u, w = (d.TimeSeries(values=np.sin(np.arange(k) * 0.3)) for k in (60, 45))\n"
+        "r = d.infer_most_similar(u, w, d.WindowPair(12, 9))\n"
+        "print(json.dumps([n._kernel()[0]._name, r.shortest_dist, sorted(r.solutions)]))"
+    )
+
+    def run(cache):
+        env = {**os.environ, "PYTHONPATH": str(package.parent), "XDG_CACHE_HOME": str(cache)}
+        env["TMPDIR"] = str(tmp_path / "tmp")
+        proc = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    u, w = (TimeSeries(values=np.sin(np.arange(k) * 0.3)) for k in (60, 45))
+    here = infer_most_similar(u, w, WindowPair(12, 9))
+    answer = [here.shortest_dist, [list(s) for s in sorted(here.solutions)]]
+    # The per-user cache, made if missing; then, with that blocked too, a private temporary directory.
+    built, *got = run(tmp_path / "cache")
+    assert Path(built).parent == tmp_path / "cache" / "dtwsearch" and got == answer
+    (tmp_path / "blocked").write_text("")
+    built, *got = run(tmp_path / "blocked")
+    assert Path(built).parent.parent == tmp_path / "tmp" and got == answer
+    assert not (package / "__pycache__").is_dir()
 
 
 def test_kernel_file_name_keys_source_and_command(monkeypatch):

@@ -49,7 +49,7 @@ def sha(arr) -> str:
 
 
 def fingerprint(seed, n, m, wu, ww, radius=None, k=None):
-    """One search's answer and counters, and its four grids' bytes, as JSON-ready values."""
+    """One search's answer and counters, its three grids' and the upper bound's bytes, as JSON-ready values."""
     u, w = pair(seed, n, m)
     wp, opts = WindowPair(wu, ww), SearchOptions(band_radius=radius)
     if k is None:
@@ -59,8 +59,9 @@ def fingerprint(seed, n, m, wu, ww, radius=None, k=None):
         r = top_k_search(u, w, wp, k, opts)
         answer = [[x.a, x.b, x.distance, x.rank] for x in r.matches]
     dm = distance_matrix(u, w) if wu >= ww else distance_matrix(w, u)
-    bm = compute_bounds(dm, max(wu, ww), min(wu, ww), radius=radius)
-    grids = [sha(g) for g in (dm.entries, bm.min_pool, bm.min_path, bm.max_path)]
+    bm = compute_bounds(dm, max(wu, ww), min(wu, ww))
+    up = upper_bound_matrix(dm, max(wu, ww), min(wu, ww), radius)
+    grids = [sha(g) for g in (dm.entries, bm.min_pool, bm.min_path, up)]
     return json.loads(json.dumps({"answer": answer, "counters": [getattr(r.stats, f) for f in COUNTERS], "grids": grids}))
 
 
@@ -88,12 +89,12 @@ def test_a_view_of_a_dropped_grid_keeps_its_bytes():
     for seed in range(1, 7):
         dm = distance_matrix(*pair(seed, 150, 140))
         bm = compute_bounds(dm, 30, 20)
-        grids = (dm.entries, bm.min_pool, bm.min_path, bm.max_path)
+        grids = (dm.entries, bm.min_pool, bm.min_path, upper_bound_matrix(dm, 30, 20))
         for view, before in zip(views, saved):
             assert view.tobytes() == before
             assert not any(np.shares_memory(view, g) for g in grids)
         if seed in (2, 3):  # grids on memory that the previous seed's gave back
-            views += [dm.entries[3:, 5:], bm.min_pool[:, 1:], bm.max_path[1:]]
+            views += [dm.entries[3:, 5:], bm.min_pool[:, 1:], grids[3][1:]]
             saved += [v.tobytes() for v in views[-3:]]
         del dm, bm, grids
 
@@ -101,7 +102,7 @@ def test_a_view_of_a_dropped_grid_keeps_its_bytes():
 def search_after_poisoned_grids(seed, n, m, wu, ww):
     """One search's fingerprint, then the same after its bound grids' shapes were written with nan and dropped.
 
-    The third value says whether the second search's bound grids took the
+    The third value says whether every bound grid of the second search took
     poisoned memory, so that the test is known to exercise it.
     """
     first = fingerprint(seed, n, m, wu, ww)
@@ -118,7 +119,7 @@ def search_after_poisoned_grids(seed, n, m, wu, ww):
 
     def spy(*args, **kwargs):
         bm = build(*args, **kwargs)
-        used.update(g.ctypes.data for g in (bm.min_pool, bm.min_path, bm.max_path))
+        used.update(g.ctypes.data for g in (bm.min_pool, bm.min_path))
         return bm
 
     search.compute_bounds = spy
@@ -126,7 +127,7 @@ def search_after_poisoned_grids(seed, n, m, wu, ww):
         second = fingerprint(seed, n, m, wu, ww)
     finally:
         search.compute_bounds = build
-    return first, second, poisoned <= used
+    return first, second, used <= poisoned
 
 
 def test_writes_into_dropped_grids_do_not_change_the_next_search():

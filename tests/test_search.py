@@ -1,5 +1,5 @@
 import json
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -15,17 +15,19 @@ from dtwsearch import (
     brute_force_search,
     compute_bounds,
     distance_matrix,
+    dtw_batch,
     dtw_matrix_full,
     find_candidates,
     infer_most_similar,
     result_to_json_dict,
     top_k_search,
     topk_to_json_list,
+    upper_bound_matrix,
     z_normalize,
 )
 from dtwsearch.core import prune_limit
 from dtwsearch.dtw import window_cells
-from dtwsearch import search
+from dtwsearch import bounds, search
 from dtwsearch.search import Candidates, _evaluate
 from oracles import naive_dtw
 
@@ -57,14 +59,14 @@ def random_pair(rng, n, m, dims=1):
 def test_find_candidates_worked_example():
     m = distance_matrix(U3, W2)
     bm = compute_bounds(m, 2, 2)
-    cands = find_candidates(bm, threshold=bm.max_path.min())
+    cands = find_candidates(bm, threshold=upper_bound_matrix(m, 2, 2).min())
     assert len(cands) == 1
     assert (cands.a[0], cands.b[0], cands.lower_bounds[0]) == (1, 1, 1.0)
 
 
 def test_find_candidates_all_zero_keeps_everything():
     bm = compute_bounds(np.zeros((6, 5)), 3, 2)
-    cands = find_candidates(bm, threshold=bm.max_path.min())
+    cands = find_candidates(bm, threshold=upper_bound_matrix(np.zeros((6, 5)), 3, 2).min())
     assert len(cands) == (6 - 3 + 1) * (5 - 2 + 1)
     lbs = cands.lower_bounds
     assert np.all(lbs == 0.0)
@@ -76,14 +78,14 @@ def test_find_candidates_planted_zero_diagonal_leaves_one():
     for k in range(3):
         mat[2 + k, 4 + k] = 0.0
     bm = compute_bounds(mat, 3, 3)
-    cands = find_candidates(bm, threshold=bm.max_path.min())
+    cands = find_candidates(bm, threshold=upper_bound_matrix(mat, 3, 3).min())
     assert len(cands) == 1 and (cands.a[0], cands.b[0]) == (3, 5)
 
 
 def test_find_candidates_in_start_order(rng):
     mat = np.abs(rng.normal(size=(20, 18)))
     bm = compute_bounds(mat, 4, 3)
-    threshold = bm.max_path.min()
+    threshold = upper_bound_matrix(mat, 4, 3).min()
     cands = find_candidates(bm, threshold=threshold)
     starts = list(zip(cands.a.tolist(), cands.b.tolist()))
     assert all(p < q for p, q in zip(starts, starts[1:]))  # strictly increasing (a, b)
@@ -95,7 +97,8 @@ def test_find_candidates_in_start_order(rng):
 def test_find_optimal_solutions_worked_example():
     m = distance_matrix(U3, W2)
     bm = compute_bounds(m, 2, 2)
-    cands = find_candidates(bm, threshold=bm.max_path.min())
+    # Both placements are seeds, so the filter runs at the larger lower bound.
+    cands = find_candidates(bm, threshold=bm.min_path.max())
     res = infer_most_similar(U3, W2, WindowPair(2, 2))
     assert res.solutions == frozenset({(1, 1)})
     assert res.shortest_dist == 1.0
@@ -129,8 +132,9 @@ def test_infer_worked_example_and_stats():
     assert res.shortest_dist == 1.0
     assert res.swapped is False
     assert res.stats.pairs_total == 2
-    assert res.stats.pairs_after_prune == 1
-    assert res.stats.dtw_evaluations == 1
+    # Both placements are seeds: each is evaluated once and is a candidate.
+    assert res.stats.pairs_after_prune == 2
+    assert res.stats.dtw_evaluations == 2
 
 
 def test_exchanged_arguments_mirror_solutions():
@@ -190,16 +194,23 @@ def test_counter_monotonicity_and_strict_pruning(rng):
 
 
 def test_early_exit_soundness(rng):
+    # The filter keeps exactly the placements that the seed's best distance,
+    # or its largest lower bound, admits; the walk evaluates only seeds and
+    # placements whose lower bound the seed's best distance admits.
     for _ in range(8):
         u, w = random_pair(rng, 40, 35, dims=2)
         m = distance_matrix(u, w)
-        bm = compute_bounds(m, 6, 5)
-        cands = find_candidates(bm, threshold=bm.max_path.min())
+        lower = compute_bounds(m, 6, 5).min_path
+        seed = search._seed(lower, search._SEED_MIN)
+        first = dtw_batch(m, 6, 5, seed // lower.shape[1], seed % lower.shape[1])[0].min()
+        threshold = max(first, lower.ravel()[seed].max())
+        admitted = set(seed.tolist()) | set(np.flatnonzero(lower <= prune_limit(first)).tolist())
         fast = infer_most_similar(u, w, WindowPair(6, 5))
         bf = brute_force_search(u, w, WindowPair(6, 5))
         assert fast.solutions == bf.solutions
         assert fast.shortest_dist == bf.shortest_dist
-        assert fast.stats.dtw_evaluations <= len(cands)
+        assert fast.stats.pairs_after_prune == np.count_nonzero(lower <= prune_limit(threshold))
+        assert fast.stats.dtw_evaluations <= len(admitted)
 
 
 def test_large_magnitude_search_matches_brute_force():
@@ -364,6 +375,74 @@ def test_abandoning_exclusion_equals_greedy_over_brute_ranking(rng):
     assert tk.stats.dp_cells < tk.stats.dtw_evaluations * window_cells(20, 16)
 
 
+def test_search_builds_no_upper_bound(rng, monkeypatch):
+    # The seed's exact distances are the only threshold source: with the
+    # upper-bound grid unbuildable, every entry point still answers exactly.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the search built the upper-bound grid")
+
+    monkeypatch.setattr(bounds, "upper_bound_matrix", refuse)
+    u, w = twin_motif_pair(rng)
+    wp = WindowPair(20, 16)
+    assert compute_bounds(distance_matrix(u, w), 20, 16).max_path.size == 0
+    for radius in (None, 3):
+        opts = SearchOptions(band_radius=radius)
+        sp, bf = infer_most_similar(u, w, wp, opts), brute_force_search(u, w, wp, opts)
+        assert sp.solutions == bf.solutions and sp.shortest_dist == bf.shortest_dist
+    ranking = brute_ranking(u, w, wp, SearchOptions())
+    for exclusion in (0, 6):
+        tk = top_k_search(u, w, wp, 8, SearchOptions(exclusion=exclusion))
+        assert [(m.distance, m.a, m.b) for m in tk.matches] == greedy_exclusion(ranking, exclusion, 8)
+
+
+def constant_pair(rng):
+    return TimeSeries(values=np.full(30, 2.5)), TimeSeries(values=np.full(25, 2.5))
+
+
+# Placements are rows x columns of the grid the search builds, and the seed
+# is S = max(16, 4k) of them, q = ceil(S / rows) from each row.
+@pytest.mark.parametrize(
+    "pair, wp, k, opts",
+    [
+        pytest.param(lambda rng: (U3, W2), WindowPair(2, 2), 2, SearchOptions(), id="seeds-cover-every-placement"),
+        pytest.param(lambda rng: random_pair(rng, 20, 60), WindowPair(12, 9), 5, SearchOptions(), id="q-above-one"),
+        pytest.param(lambda rng: random_pair(rng, 10, 7), WindowPair(6, 4), 2, SearchOptions(), id="q-equals-columns"),
+        pytest.param(constant_pair, WindowPair(6, 4), 10, SearchOptions(), id="every-lower-bound-ties"),
+        pytest.param(lambda rng: random_pair(rng, 40, 36), WindowPair(6, 9), 5, SearchOptions(band_radius=3), id="banded"),
+        pytest.param(
+            lambda rng: random_pair(rng, 20, 20), WindowPair(5, 5), 20, SearchOptions(exclusion=5),
+            id="rounds-reach-every-placement",
+        ),
+    ],
+)
+def test_seed_edge_cases_equal_brute_force(rng, monkeypatch, pair, wp, k, opts):
+    # 2x1 placements, all seeds; 9x52 with q = 2 and 3; 5x4 with q = 4; 25x22
+    # tied at 0; 28x35 banded and swapped; and 16x16 where exclusion leaves
+    # fewer than k picks, so the rounds end at a threshold of +inf.
+    u, w = pair(rng)
+    rounds = []
+
+    def counted(bm, **kw):
+        rounds.append(find_candidates(bm, **kw))
+        return rounds[-1]
+
+    monkeypatch.setattr(search, "find_candidates", counted)
+    tk = top_k_search(u, w, wp, k, opts)
+    expected = greedy_exclusion(brute_ranking(u, w, wp, SearchOptions(band_radius=opts.band_radius)), opts.exclusion, k)
+    assert [(m.distance, m.a, m.b) for m in tk.matches] == expected
+    assert tk.truncated == (len(expected) < k)
+    assert tk.stats.pairs_after_prune == len(rounds[-1])
+    if tk.truncated:  # the last round ran at +inf
+        assert len(rounds[-1]) == tk.stats.pairs_total
+    sp, bf = infer_most_similar(u, w, wp, opts), brute_force_search(u, w, wp, opts)
+    assert sp.solutions == bf.solutions and sp.shortest_dist == bf.shortest_dist
+    for stats in (tk.stats, sp.stats):
+        assert SearchStats(**asdict(stats)) == stats  # the ordering check passes
+        assert stats.dtw_evaluations <= stats.pairs_after_prune <= stats.pairs_total
+        if stats.pairs_total <= search._SEED_MIN:
+            assert stats.dtw_evaluations == stats.pairs_after_prune == stats.pairs_total
+
+
 def periodic_pair(rng):
     """u is four copies of one noise block, w is noise: every placement has
     twins 30 steps apart with the same distance, and the bound is loose."""
@@ -401,17 +480,24 @@ def test_seeded_walk_equals_brute_force(rng, monkeypatch, k, exclusion, radius):
 
 @pytest.mark.parametrize("seed", [1, 2, 7, 9, 10])
 def test_seeded_optimum_evaluates_only_what_its_bound_admits(seed):
-    # With the optimum among the seeds, the threshold is the optimum for the
-    # whole walk, so exactly the placements whose lower bound it admits are
-    # evaluated, though more survive the prune.
+    # The walk's threshold falls from the seed's best distance to the
+    # optimum, so it evaluates the seeds, every placement whose lower bound
+    # the optimum admits, and no placement whose lower bound the seed's best
+    # distance does not admit. Where a seed is a tied optimum (seeds 1 and
+    # 10) the two sets are one. The filter keeps exactly what the seed's
+    # best distance, or its largest lower bound, admits.
     u, w = twin_motif_pair(np.random.default_rng(seed))
+    m = distance_matrix(u, w)
     sp = infer_most_similar(u, w, WindowPair(20, 16))
-    lower = compute_bounds(distance_matrix(u, w), 20, 16).min_path
-    best = min(lower[a - 1, b - 1] for a, b in sp.solutions)
-    assert np.count_nonzero(lower <= best) <= search._SEED_MIN  # a tied optimum is a seed
-    admitted = np.count_nonzero(lower <= prune_limit(sp.shortest_dist))
-    assert admitted >= search._SEED_MIN  # and the optimum admits every seed
-    assert sp.stats.dtw_evaluations == admitted < sp.stats.pairs_after_prune
+    lower = compute_bounds(m, 20, 16).min_path
+    seeds = search._seed(lower, search._SEED_MIN)
+    first = dtw_batch(m, 20, 16, seeds // lower.shape[1], seeds % lower.shape[1])[0].min()
+    assert (first == sp.shortest_dist) == (seed in (1, 10))
+    least, most = (np.union1d(seeds, np.flatnonzero(lower <= prune_limit(x))).size for x in (sp.shortest_dist, first))
+    assert least >= search._SEED_MIN
+    assert least <= sp.stats.dtw_evaluations <= most
+    threshold = max(first, lower.ravel()[seeds].max())
+    assert sp.stats.pairs_after_prune == np.count_nonzero(lower <= prune_limit(threshold))
 
 
 def test_banded_search_matches_banded_brute(rng):
@@ -580,7 +666,7 @@ def test_result_json_schema():
     }
     # The stats serialize from SearchStats itself, in its field order.
     assert list(doc["stats"]) == [f.name for f in fields(SearchStats)]
-    assert doc["stats"]["dp_cells"] == 4  # one 2x2 placement evaluated
+    assert doc["stats"]["dp_cells"] == 8  # both 2x2 placements are seeds, each evaluated once
     tk = top_k_search(U3, W2, WindowPair(2, 2), 2)
     arr = topk_to_json_list(tk)
     assert arr[0] == {"rank": 1, "a": 1, "b": 1, "distance": 1.0}
