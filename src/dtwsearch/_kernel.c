@@ -206,6 +206,24 @@ void min_pool_rows(const double *m, int64_t n, int64_t cols, int64_t omega, doub
     }
 }
 
+/* The minimum of acc and x[0 .. n - 1], kept in LANES running minima so
+ * that each comparison need not wait for the one before. */
+static inline double least(const double *x, int64_t n, double acc)
+{
+    double lane[LANES];
+    for (int l = 0; l < LANES; l++)
+        lane[l] = acc;
+    int64_t t = 0;
+    for (; t + LANES <= n; t += LANES)
+        for (int l = 0; l < LANES; l++)
+            lane[l] = min2(lane[l], x[t + l]);
+    for (; t < n; t++)
+        lane[0] = min2(lane[0], x[t]);
+    for (int l = 1; l < LANES; l++)
+        lane[0] = min2(lane[0], lane[l]);
+    return lane[0];
+}
+
 /* out[i, j] += sum(g[i + t, j + step * t] for t < length) for the rows x
  * cols row-major out, g read through a row stride of gstride doubles; step
  * 0 sums down a column, step 1 along a diagonal. In blocks of length rows
@@ -225,14 +243,21 @@ void min_pool_rows(const double *m, int64_t n, int64_t cols, int64_t omega, doub
  * repeated, whatever the step and length. No sum has more than length
  * terms, so its rounding scales with the window, not the series. With
  * fresh set, out holds nothing yet and 0.0 stands for it. work holds
- * (length + 1) * strip doubles. */
+ * (length + 1) * strip doubles.
+ *
+ * Unless rowmin is NULL, rowmin[i] becomes the minimum of row i of out,
+ * each strip of the row folded in while it is still in cache. A minimum
+ * rounds nothing, so it equals numpy's out.min(axis=1) bitwise. */
 void window_sums(double *out, int64_t rows, int64_t cols, const double *g, int64_t gstride, int64_t length,
-                 int64_t step, int64_t fresh, int64_t strip, double *work)
+                 int64_t step, int64_t fresh, int64_t strip, double *work, double *rowmin)
 {
     double *d = work, *e = work + strip; /* D_r of the strip; E_0 .. E_{length-2}, a row each */
     for (int64_t lo = 0; lo < rows; lo += length) {
         const int64_t n = rows - lo < length ? rows - lo : length;
         const double *block = g + lo * gstride, *next = block + length * gstride;
+        if (rowmin)
+            for (int64_t r = 0; r < n; r++)
+                rowmin[lo + r] = INFINITY;
         for (int64_t k0 = -(n - 1) * step; k0 < cols; k0 += strip) {
             const int64_t w = cols - k0 < strip ? cols - k0 : strip;
             /* E_s at k0 + t, for the t whose entry of row lo + s + 1 is a column of out. */
@@ -272,6 +297,8 @@ void window_sums(double *out, int64_t rows, int64_t cols, const double *g, int64
                     for (int64_t t = 0; t < end - first; t++)
                         o[t] = ((fresh ? 0.0 : o[t]) + dr[t]) + er[t];
                 }
+                if (rowmin)
+                    rowmin[lo + r] = least(o, end - first, rowmin[lo + r]);
             }
         }
     }

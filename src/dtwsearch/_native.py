@@ -69,7 +69,7 @@ _SIGNATURES = {
     ),
     "distance_rows": (None, [_PTR, _I64, _PTR, _I64, _I64, _PTR]),
     "min_pool_rows": (None, [_PTR, _I64, _I64, _I64, _PTR, _PTR]),
-    "window_sums": (None, [_PTR, _I64, _I64, _PTR, _I64, _I64, _I64, _I64, _I64, _PTR]),
+    "window_sums": (None, [_PTR, _I64, _I64, _PTR, _I64, _I64, _I64, _I64, _I64, _PTR, _PTR]),
 }
 
 

@@ -19,6 +19,11 @@ sums run in the compiled library (``_kernel.c``) and make no grid-sized
 temporary; each output grid's memory comes from ``_native.grid``, which
 reuses an earlier search's. Both split their rows over the CPUs the
 process may use (``_native.split``), each entry computed as in one call.
+
+The same pass that writes the lower-bound grid keeps each row's minimum
+(``BoundMatrices.row_min``), folded in while the row is still in cache.
+The search's seed and filter read these minima instead of sweeping the
+grid: a row whose minimum exceeds the threshold holds no candidate.
 """
 from __future__ import annotations
 
@@ -42,13 +47,15 @@ class BoundMatrices:
 
     min_pool:  n x (m - omega_w + 1), row-window minima of the distance matrix.
     min_path:  lower-bound grid over all placements.
+    row_min:   the minimum of each row of min_path, bitwise min_path.min(axis=1).
     """
 
     min_pool: np.ndarray
     min_path: np.ndarray
+    row_min: np.ndarray
 
     def __post_init__(self):
-        for name in ("min_pool", "min_path"):
+        for name in ("min_pool", "min_path", "row_min"):
             arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -90,7 +97,7 @@ def min_pool(m, omega_w: int) -> np.ndarray:
     return out
 
 
-def _add_window_sums(out: np.ndarray, g: np.ndarray, length: int, step: int, fresh: bool):
+def _add_window_sums(out: np.ndarray, g: np.ndarray, length: int, step: int, fresh: bool, row_min=None):
     """out[i, j] += sum(g[i + t, j + step*t] for t < length): step 0 is a column, 1 a diagonal.
 
     In blocks of `length` rows, the window from row r is the suffix running
@@ -99,7 +106,8 @@ def _add_window_sums(out: np.ndarray, g: np.ndarray, length: int, step: int, fre
     `length` terms, so its rounding scales with the window, not the series.
     Runs in the compiled library (``window_sums`` in ``_kernel.c``); g may
     be a view with any row stride. With ``fresh``, out holds nothing yet:
-    each entry is written as 0.0 plus its sum, as if out were zeros.
+    each entry is written as 0.0 plus its sum, as if out were zeros. A
+    ``row_min`` array, one float64 per row of out, receives each row's minimum.
 
     The rows run in parts, one per CPU, whose boundaries are multiples of
     ``length``: the blocks start where they start in one call, so every
@@ -116,6 +124,7 @@ def _add_window_sums(out: np.ndarray, g: np.ndarray, length: int, step: int, fre
         and g.shape[1] >= width
         and length >= 1
         and step >= 0
+        and (row_min is None or (row_min.dtype == np.float64 and row_min.shape == (rows,) and row_min.flags.c_contiguous))
     ):
         raise ValueError(f"window sums of length {length}, step {step} do not fit grids {out.shape} and {g.shape}")
     lib = _kernel()[0]
@@ -125,23 +134,25 @@ def _add_window_sums(out: np.ndarray, g: np.ndarray, length: int, step: int, fre
         lib.window_sums(
             out.ctypes.data + start * out.strides[0], stop - start, cols, g.ctypes.data + start * g.strides[0],
             g.strides[0] // g.itemsize, length, step, fresh, _STRIP, work.ctypes.data,
+            None if row_min is None else row_min.ctypes.data + start * row_min.itemsize,
         )
 
     split(part, rows, unit=length, cost=cols)
 
 
-def lower_bound_matrix(pool: np.ndarray, omega_u: int) -> np.ndarray:
+def lower_bound_matrix(pool: np.ndarray, omega_u: int, row_min: np.ndarray | None = None) -> np.ndarray:
     """Column-wise sliding sums of the min-pool grid.
 
     out[i, j] = sum(pool[i : i+omega_u, j]); equals the admissible lower
-    bound of windowed DTW at placement (i, j).
+    bound of windowed DTW at placement (i, j). A ``row_min`` array, one
+    float64 per row of out, receives each row's minimum from the same pass.
     """
     pool = np.ascontiguousarray(pool, dtype=np.float64)
     n = pool.shape[0]
     if not 1 <= omega_u <= n:
         raise WindowTooLarge(f"omega_u={omega_u} does not fit grid with {n} rows")
     out = grid((n - omega_u + 1, pool.shape[1]))
-    _add_window_sums(out, pool, omega_u, 0, True)
+    _add_window_sums(out, pool, omega_u, 0, True, row_min)
     return out
 
 
@@ -201,11 +212,12 @@ def upper_bound_matrix(m, omega_u: int, omega_w: int, radius: int | None = None)
 
 
 def compute_bounds(m, omega_u: int, omega_w: int) -> BoundMatrices:
-    """Build the min-pool and the lower-bound grid for one search instance.
+    """Build the min-pool, the lower-bound grid and its row minima for one search instance.
 
     The lower bound holds under any band, since a band only removes paths.
     """
     arr = _entries(m)
     _check_window_order(arr, omega_u, omega_w)
     pool = min_pool(arr, omega_w)
-    return BoundMatrices(min_pool=pool, min_path=lower_bound_matrix(pool, omega_u))
+    row_min = np.empty(arr.shape[0] - omega_u + 1)
+    return BoundMatrices(min_pool=pool, min_path=lower_bound_matrix(pool, omega_u, row_min), row_min=row_min)

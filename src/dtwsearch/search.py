@@ -143,33 +143,45 @@ def find_candidates(bm: BoundMatrices, *, threshold: float) -> Candidates:
 
     The comparison is padded by ``prune_limit`` so summation rounding can
     never drop a placement tied at the threshold, whatever the magnitude of
-    the distances.
+    the distances. Only the rows whose minimum (``bm.row_min``) is within
+    the limit can hold one, so only those are scanned, one view per run of
+    consecutive such rows.
     """
-    flat = bm.min_path.ravel()
-    idx = np.flatnonzero(flat <= prune_limit(threshold))  # row-major: ascending (a, b)
-    lower = flat[idx]
-    a, b = np.divmod(idx, bm.shape[1], out=(idx, np.empty_like(idx)))  # a reuses idx's memory
+    limit, cols = prune_limit(threshold), bm.shape[1]
+    live = np.concatenate(([False], bm.row_min <= limit, [False]))
+    idx, lower = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    for start, stop in np.flatnonzero(live[1:] != live[:-1]).reshape(-1, 2).tolist():  # [start, stop) per run
+        run = bm.min_path[start:stop].ravel()
+        hit = np.flatnonzero(run <= limit)  # row-major: ascending (a, b)
+        lower.append(run[hit])
+        hit += start * cols
+        idx.append(hit)
+    # Joined only when more than one run held candidates: each copy faults in fresh pages.
+    idx, lower = (np.concatenate(x[1:]) if len(x) > 2 else x[-1] for x in (idx, lower))
+    a, b = np.divmod(idx, cols, out=(idx, np.empty_like(idx)))  # a reuses idx's memory
     a += 1
     b += 1
     return Candidates(a=a, b=b, lower_bounds=lower)
 
 
-def _seed(lower: np.ndarray, count: int) -> np.ndarray:
+def _seed(bm: BoundMatrices, count: int) -> np.ndarray:
     """Flat indices, ascending, of the ``count`` smallest of each row's q = ceil(count / rows) smallest lower bounds.
 
-    Every placement if there are no more. At q = 1 that is one argmin pass,
-    1.1 ms against 14.8 ms for a partition of a whole 1821x1881 grid (2-core Xeon VM).
+    Every placement if there are no more. At q = 1 these are the ``count``
+    rows with the smallest minima (``bm.row_min``), each at its first
+    smallest column, so only those rows are read.
     """
+    lower = bm.min_path
     rows, cols = lower.shape
     if count >= lower.size:
         return np.arange(lower.size)
     q = -(-count // rows)
     if q == 1:
-        col = lower.argmin(axis=1)[:, None]
-    else:
-        # A few rows at a time, so that no index array of the whole grid is made.
-        step = max(1, _CHUNK // cols)
-        col = np.concatenate([np.argpartition(lower[r : r + step], q - 1, axis=1)[:, :q] for r in range(0, rows, step)])
+        row = np.argpartition(bm.row_min, count - 1)[:count] if rows > count else np.arange(rows)
+        return np.sort(row * cols + lower[row].argmin(axis=1))
+    # A few rows at a time, so that no index array of the whole grid is made.
+    step = max(1, _CHUNK // cols)
+    col = np.concatenate([np.argpartition(lower[r : r + step], q - 1, axis=1)[:, :q] for r in range(0, rows, step)])
     flat = (col + np.arange(0, lower.size, cols)[:, None]).ravel()
     if flat.size > count:
         flat = flat[np.argpartition(lower.ravel()[flat], count - 1)[:count]]
@@ -317,19 +329,21 @@ def _rank(u: TimeSeries, w: TimeSeries, wp: WindowPair, k: int, opts: SearchOpti
     # and ranks every placement at or below it: a distance there puts its
     # lower bound there too. Each round's candidates contain the previous
     # round's (the seed's first), in start order, so distances carry over
-    # by flat index.
-    flat = _seed(bm.min_path, max(_SEED_MIN, _SEED_PER_K * k))
+    # by flat index; a round whose threshold did not rise keeps the list.
+    flat = _seed(bm, max(_SEED_MIN, _SEED_PER_K * k))
     d, cells = dtw_batch(m.entries, wu, ww, flat // cols, flat % cols, radius=opts.band_radius)
     bound = max(float(np.partition(d, k - 1)[k - 1]), float(bm.min_path.ravel()[flat].max()))
     clock.lap("evaluate_ms")
-    kk = need = k
+    kk, need, filtered = k, k, None  # filtered: the threshold of the candidate list
     while True:
-        cands = find_candidates(bm, threshold=bound)
-        clock.lap("candidates_ms")
-        a, b = cands.a, cands.b
-        carried = np.full(len(cands), np.nan)
-        carried[np.searchsorted((a - 1) * cols + b - 1, flat)] = d
-        d, kth, c = _evaluate(m.entries, wu, ww, cands, bm, need, bound, opts.band_radius, carried)
+        if bound != filtered:
+            cands, filtered = find_candidates(bm, threshold=bound), bound
+            clock.lap("candidates_ms")
+            a, b = cands.a, cands.b
+            carried = np.full(len(cands), np.nan)
+            carried[np.searchsorted((a - 1) * cols + b - 1, flat)] = d
+            d = carried
+        d, kth, c = _evaluate(m.entries, wu, ww, cands, bm, need, bound, opts.band_radius, d)
         cells += c
         ra, rb = (b, a) if swapped else (a, b)
         # Every placement with distance <= kth was evaluated exactly, so
@@ -345,7 +359,11 @@ def _rank(u: TimeSeries, w: TimeSeries, wp: WindowPair, k: int, opts: SearchOpti
         # doubling kk so that the rounds stay few.
         kk = min(total, max(2 * kk, kk * k // max(chosen.size, 1)))
         need, flat = total, (a - 1) * cols + b - 1
-        bound = np.inf if kk == total else max(bound, float(np.partition(bm.min_path.ravel(), kk - 1)[kk - 1]))
+        # The candidates are every placement at or below the padded
+        # threshold, so when there are kk of them their kk-th smallest lower
+        # bound is the grid's.
+        lbs = cands.lower_bounds if kk <= len(cands) else bm.min_path.ravel()
+        bound = np.inf if kk == total else max(bound, float(np.partition(lbs, kk - 1)[kk - 1]))
     return _Ranking(clock, m.entries, bm, len(cands), d, a, b, ra, rb, swapped, chosen, cells)
 
 

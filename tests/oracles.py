@@ -158,6 +158,33 @@ def naive_upper_bound(m, omega_u, omega_w):
     return out
 
 
+def whole_grid_candidates(lower, limit):
+    """(a, b, lower bounds) of every placement whose lower bound is at most limit, 1-based, in start order.
+
+    One mask over the whole grid: the reference for ``find_candidates``,
+    which scans only the rows whose minimum is within the limit.
+    """
+    flat = np.asarray(lower, dtype=np.float64).ravel()
+    idx = np.flatnonzero(flat <= limit)
+    a, b = np.divmod(idx, lower.shape[1])
+    return a + 1, b + 1, flat[idx]
+
+
+def argmin_seed(lower, count):
+    """Flat indices, ascending, of the search's seed at one placement per row (q = 1).
+
+    Each row's first smallest lower bound by one argmin over the whole
+    grid, then the ``count`` smallest of those by one argpartition: the
+    reference for ``search._seed``, which reads only the chosen rows.
+    """
+    rows, cols = lower.shape
+    assert count <= rows, "q = 1 needs at least one row per seed"
+    flat = lower.argmin(axis=1) + np.arange(0, lower.size, cols)
+    if flat.size > count:
+        flat = flat[np.argpartition(lower.ravel()[flat], count - 1)[:count]]
+    return np.sort(flat)
+
+
 def fsum_path_sums(g, path, shape):
     """out[i, j] = the correctly rounded sum (math.fsum) of g[i + p, j + path[p]] over p."""
     g = np.asarray(g, dtype=float)

@@ -294,6 +294,23 @@ def test_window_sums_refuse_grids_they_do_not_fit():
         _add_window_sums(np.empty((4, 4)), g[:, :6], 4, 1, True)  # a diagonal of 4 needs 7 columns
     with pytest.raises(ValueError):
         _add_window_sums(np.empty((4, 4)), g[:, ::2], 4, 0, True)  # columns are not adjacent
+    with pytest.raises(ValueError):
+        _add_window_sums(np.empty((4, 4)), g, 4, 0, True, np.empty(3))  # a row minimum per row of out
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
+def test_row_minima_equal_the_grid_row_minima_at_any_split(parts, rng, scale):
+    # Window lengths that do not divide the rows, so a part's last block of
+    # rows is short; grids of fewer rows than parts; rows wider than a strip
+    # of the window sums; and rounded costs, so that a row's minimum ties.
+    for n, m, wu, ww in ((203, 150, 40, 30), (97, 61, 17, 5), (9, 9, 8, 3), (30, 40, 1, 1), (7, 80, 7, 7), (60, 700, 13, 9)):
+        for mat in (np.abs(rng.normal(size=(n, m))) * scale, np.round(rng.uniform(0, 3, size=(n, m))) * scale):
+            bm = compute_bounds(mat, wu, ww)
+            assert bm.row_min.tobytes() == np.array(bm.min_path).min(axis=1).tobytes()
+            assert not bm.row_min.flags.writeable
+            row_min = np.empty(n - wu + 1)
+            assert lower_bound_matrix(min_pool(mat, ww), wu, row_min).tobytes() == bm.min_path.tobytes()
+            assert row_min.tobytes() == bm.row_min.tobytes()
 
 
 def kept(mat, wu, ww):

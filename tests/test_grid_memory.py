@@ -337,3 +337,25 @@ def faults_of_searches(count):
 def test_a_repeated_search_reuses_its_grid_pages():
     first, second = in_fresh_process("print(json.dumps(t.faults_of_searches(2)))")
     assert second <= first / 4, (first, second)
+
+
+def search_peak_over_lower_grid():
+    """The tracemalloc peak of a k=1 search after a warm-up of the same shape, over its lower-bound grid's bytes."""
+    import tracemalloc
+
+    u, w, _ = generate_pair(SimulationSpec(680, 640, motif_len_u=80, motif_len_w=60, gamma=0.1, seed=1, dims=2))
+    infer_most_similar(u, w, WindowPair(80, 60))  # the library loads and the grids' blocks are kept
+    gc.collect()
+    tracemalloc.start()
+    infer_most_similar(u, w, WindowPair(80, 60))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return peak / ((680 - 80 + 1) * (640 - 60 + 1) * 8)
+
+
+def test_a_search_makes_no_temporary_the_size_of_a_grid():
+    # The grids come from kept blocks, and the seed and the filter read the
+    # row minima, not the grid: an argmin over the read-only lower-bound grid
+    # copied all of it.
+    ratio = in_fresh_process("print(json.dumps(t.search_peak_over_lower_grid()))")
+    assert ratio < 0.5, ratio

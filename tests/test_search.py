@@ -29,7 +29,7 @@ from dtwsearch.core import prune_limit
 from dtwsearch.dtw import window_cells
 from dtwsearch import bounds, search
 from dtwsearch.search import Candidates, _evaluate
-from oracles import naive_dtw
+from oracles import argmin_seed, naive_dtw, whole_grid_candidates
 
 U3 = TimeSeries(values=[0.0, 1.0, 3.0])
 W2 = TimeSeries(values=[0.0, 2.0])
@@ -92,6 +92,73 @@ def test_find_candidates_in_start_order(rng):
     ii, jj = np.nonzero(bm.min_path <= prune_limit(threshold))
     assert starts == sorted(zip((ii + 1).tolist(), (jj + 1).tolist()))
     assert cands.lower_bounds.tolist() == [bm.min_path[a - 1, b - 1] for a, b in starts]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e6])
+def test_find_candidates_equal_the_whole_grid_scan(rng, scale):
+    # Rows 10-19 and 35-44 of the matrix hold cheap columns, so two runs of
+    # rows of placements hold the small lower bounds, with rows between them
+    # whose minimum is far larger: a threshold leaves two runs of rows to
+    # scan, or one, or none.
+    mat = rng.uniform(5.0, 6.0, size=(60, 70)) * scale
+    mat[10:20, 20:30] = rng.uniform(0.0, 1.0, size=(10, 10)) * scale
+    mat[35:45, 50:60] = rng.uniform(0.0, 1.0, size=(10, 10)) * scale
+    bm = compute_bounds(mat, 8, 6)
+    lower, values = bm.min_path, np.unique(bm.min_path)
+    thresholds = [
+        values[0] / 2,  # below every entry
+        values[0],  # exactly the smallest entry
+        values[3],  # exactly an entry
+        (values[40] + values[41]) / 2,  # between entries
+        np.sort(bm.row_min)[12],  # exactly a row's minimum, with rows of both runs
+        np.median(values),
+        np.inf,
+    ]
+    runs = []
+    for threshold in thresholds:
+        cands = find_candidates(bm, threshold=threshold)
+        a, b, lbs = whole_grid_candidates(lower, prune_limit(threshold))
+        assert cands.a.tobytes() == a.tobytes() and cands.b.tobytes() == b.tobytes()
+        assert cands.lower_bounds.tobytes() == lbs.tobytes()
+        live = np.unique(a)
+        runs.append(int(np.count_nonzero(np.diff(live) > 1)) + 1 if live.size else 0)
+    assert runs[0] == 0 and max(runs) > 1 and runs[-1] == 1
+    assert len(find_candidates(bm, threshold=np.inf)) == lower.size
+
+
+@pytest.mark.parametrize("count", [1, 16, 40, 53])
+def test_seed_at_one_per_row_equals_the_argmin_scan(rng, count):
+    # 53 rows of placements: fewer seeds than rows, and exactly one per row.
+    # Rounded costs tie many row minima, so the choice among ties must match too.
+    for mat in (rng.uniform(size=(60, 70)), np.round(rng.uniform(0, 2, size=(60, 70)))):
+        bm = compute_bounds(mat, 8, 6)
+        assert bm.shape[0] == 53
+        assert search._seed(bm, count).tobytes() == argmin_seed(bm.min_path, count).tobytes()
+
+
+def test_exclusion_rounds_filter_only_when_the_threshold_rises(rng, monkeypatch):
+    # The first round's threshold, the larger lower bound of the seed, lies
+    # above the next rounds' kk-th smallest lower bound, so those rounds keep
+    # the candidate list; the grid is filtered again only at +inf.
+    u, w = TimeSeries(values=rng.normal(size=(40, 2))), TimeSeries(values=rng.normal(size=(36, 2)))
+    wp, opts, k = WindowPair(8, 6), SearchOptions(exclusion=4), 20
+    thresholds, walks = [], []
+
+    def counted(bm, **kw):
+        thresholds.append(kw["threshold"])
+        return find_candidates(bm, **kw)
+
+    def walked(*args, **kw):
+        walks.append(args)
+        return _evaluate(*args, **kw)
+
+    monkeypatch.setattr(search, "find_candidates", counted)
+    monkeypatch.setattr(search, "_evaluate", walked)
+    tk = top_k_search(u, w, wp, k, opts)
+    assert len(walks) > 2
+    assert len(thresholds) == 2 and thresholds[0] < thresholds[1] == np.inf
+    ranking = brute_ranking(u, w, wp, SearchOptions())
+    assert [(m.distance, m.a, m.b) for m in tk.matches] == greedy_exclusion(ranking, 4, k)
 
 
 def test_find_optimal_solutions_worked_example():
@@ -200,8 +267,9 @@ def test_early_exit_soundness(rng):
     for _ in range(8):
         u, w = random_pair(rng, 40, 35, dims=2)
         m = distance_matrix(u, w)
-        lower = compute_bounds(m, 6, 5).min_path
-        seed = search._seed(lower, search._SEED_MIN)
+        bm = compute_bounds(m, 6, 5)
+        lower = bm.min_path
+        seed = search._seed(bm, search._SEED_MIN)
         first = dtw_batch(m, 6, 5, seed // lower.shape[1], seed % lower.shape[1])[0].min()
         threshold = max(first, lower.ravel()[seed].max())
         admitted = set(seed.tolist()) | set(np.flatnonzero(lower <= prune_limit(first)).tolist())
@@ -456,18 +524,23 @@ def periodic_pair(rng):
 def test_seeded_walk_equals_brute_force(rng, monkeypatch, k, exclusion, radius):
     wp, opts = WindowPair(12, 9), SearchOptions(band_radius=radius, exclusion=exclusion)
     u, w = periodic_pair(rng)
-    rounds = []
+    rounds, walks = [], []
 
     def counted(bm, **kw):
         rounds.append(find_candidates(bm, **kw))
         return rounds[-1]
 
+    def walked(*args, **kw):
+        walks.append(args)
+        return _evaluate(*args, **kw)
+
     monkeypatch.setattr(search, "find_candidates", counted)
+    monkeypatch.setattr(search, "_evaluate", walked)
     tk = top_k_search(u, w, wp, k, opts)
     # The walk crosses a chunk boundary after the seed.
     assert len(rounds[0]) > max(search._SEED_MIN, search._SEED_PER_K * k) + search._CHUNK
     if k == 50 and exclusion:
-        assert len(rounds) > 1  # a round that carries the first one's distances
+        assert len(walks) > 1  # a round that carries the first one's distances
     ranking = brute_ranking(u, w, wp, SearchOptions(band_radius=radius))
     assert [(m.distance, m.a, m.b) for m in tk.matches] == greedy_exclusion(ranking, exclusion, k)
     if k == 1:
@@ -489,8 +562,9 @@ def test_seeded_optimum_evaluates_only_what_its_bound_admits(seed):
     u, w = twin_motif_pair(np.random.default_rng(seed))
     m = distance_matrix(u, w)
     sp = infer_most_similar(u, w, WindowPair(20, 16))
-    lower = compute_bounds(m, 20, 16).min_path
-    seeds = search._seed(lower, search._SEED_MIN)
+    bm = compute_bounds(m, 20, 16)
+    lower = bm.min_path
+    seeds = search._seed(bm, search._SEED_MIN)
     first = dtw_batch(m, 20, 16, seeds // lower.shape[1], seeds % lower.shape[1])[0].min()
     assert (first == sp.shortest_dist) == (seed in (1, 10))
     least, most = (np.union1d(seeds, np.flatnonzero(lower <= prune_limit(x))).size for x in (sp.shortest_dist, first))

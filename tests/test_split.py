@@ -3,7 +3,8 @@
 Every value, answer and counter must be the same at any thread count. The
 ``parts`` fixture makes every call split into as many parts as asked,
 however small it is and however many CPUs this machine has, so the part
-boundaries fall at shapes that do not divide evenly.
+boundaries fall at shapes that do not divide evenly (the fixture is in
+conftest.py, for other modules' tests of split calls).
 """
 import os
 import threading
@@ -24,13 +25,6 @@ from dtwsearch import (
 from dtwsearch import _native
 from oracles import block_path_sums, block_window_sums, blocked_distance_matrix, doubling_min_pool
 from test_grid_memory import fingerprint, fresh_interpreter, in_fresh_process
-
-
-@pytest.fixture(params=[2, 3, 7])
-def parts(request, monkeypatch):
-    monkeypatch.setattr(_native, "_cpus", lambda: request.param)
-    monkeypatch.setattr(_native, "_MIN_PART", 1)
-    return request.param
 
 
 def test_parts_cover_the_range_on_unit_boundaries(parts):
