@@ -29,6 +29,7 @@ from .core import (
 from .metrics import DistanceMatrix, distance_matrix, z_normalize
 from .bounds import (
     BoundMatrices,
+    CoarseBounds,
     compute_bounds,
     lower_bound_matrix,
     min_pool,

@@ -25,6 +25,7 @@
  * cut as many cells but ran the kernel slower.
  */
 #include <math.h>
+#include <stddef.h>
 #include <stdint.h>
 
 #define LANES 8
@@ -158,24 +159,79 @@ int64_t dtw_lockstep(const double *m, int64_t cols, int64_t omega_u, int64_t ome
 /* out[i, j] = dist(u_i, w_j) for the n x dims row-major u and wt, w
  * transposed (dims x m, row-major): the squares of u_ik - w_jk summed in
  * dimension order from 0.0, then one square root, as numpy does it one
- * operation at a time. Build with -ffp-contract=off, so that no target
- * fuses d * d + acc into one rounding. */
-void distance_rows(const double *u, int64_t n, const double *wt, int64_t m, int64_t dims, double *out)
+ * operation at a time. One sweep: 8 columns at a time, their sums held in
+ * registers. Build with -ffp-contract=off, so that no target fuses
+ * d * d + acc into one rounding. Unless groupmin is NULL,
+ * groupmin[i * ceil(m / 8) + g] becomes the minimum of out[i, 8g .. 8g + 7]
+ * (of the columns there are, in a last short group). */
+void distance_rows(const double *u, int64_t n, const double *wt, int64_t m, int64_t dims, double *out,
+                   double *groupmin)
 {
+    const int64_t groups = (m + 7) / 8;
     for (int64_t i = 0; i < n; i++) {
+        const double *x = u + i * dims;
         double *restrict row = out + i * m;
-        for (int64_t j = 0; j < m; j++)
-            row[j] = 0.0;
-        for (int64_t k = 0; k < dims; k++) {
-            const double x = u[i * dims + k];
-            const double *restrict c = wt + k * m;
-            for (int64_t j = 0; j < m; j++) {
-                const double d = x - c[j];
-                row[j] = row[j] + d * d;
+        double *g = groupmin ? groupmin + i * groups : NULL;
+        int64_t j = 0;
+        for (; j + 8 <= m; j += 8) {
+            double acc[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
+            for (int64_t k = 0; k < dims; k++) {
+                const double *restrict c = wt + k * m + j;
+                for (int l = 0; l < 8; l++) {
+                    const double d = x[k] - c[l];
+                    acc[l] = acc[l] + d * d;
+                }
+            }
+            for (int l = 0; l < 8; l++)
+                row[j + l] = sqrt(acc[l]);
+            if (g) {
+                double v = row[j];
+                for (int l = 1; l < 8; l++)
+                    v = min2(v, row[j + l]);
+                g[j / 8] = v;
             }
         }
-        for (int64_t j = 0; j < m; j++)
-            row[j] = sqrt(row[j]);
+        for (double v = INFINITY; j < m; j++) {
+            double acc = 0.0;
+            for (int64_t k = 0; k < dims; k++) {
+                const double d = x[k] - wt[k * m + j];
+                acc = acc + d * d;
+            }
+            row[j] = sqrt(acc);
+            v = min2(v, row[j]);
+            if (g && j == m - 1)
+                g[j / 8] = v;
+        }
+    }
+}
+
+/* out[i, c] = min(m[i, width * c .. e - 1]), e = min(width * (c + 1) +
+ * omega_w - 1, cols): every distance column that a window of omega_w
+ * columns starting in placement columns width * c .. width * (c + 1) - 1
+ * reaches, for the n x cols row-major m; out has ceil((cols - omega_w + 1)
+ * / width) columns. Unless groupmin is NULL it holds the minima of each
+ * row's groups of 8 columns (distance_rows), which stand for the whole
+ * groups a span covers; width is a multiple of 8. A minimum rounds nothing,
+ * so either way gives the same value. */
+void span_minima(const double *m, const double *groupmin, int64_t n, int64_t cols, int64_t omega_w, int64_t width,
+                 double *out)
+{
+    const int64_t groups = (cols + 7) / 8, blocks = (cols - omega_w + width) / width;
+    for (int64_t i = 0; i < n; i++) {
+        const double *x = m + i * cols, *g = groupmin ? groupmin + i * groups : NULL;
+        for (int64_t c = 0; c < blocks; c++) {
+            const int64_t e = width * (c + 1) + omega_w - 1 < cols ? width * (c + 1) + omega_w - 1 : cols;
+            double v = INFINITY;
+            int64_t j = width * c;
+            if (g) {
+                for (int64_t q = j / 8; q < e / 8; q++)
+                    v = min2(v, g[q]);
+                j = e / 8 * 8;
+            }
+            for (; j < e; j++)
+                v = min2(v, x[j]);
+            out[i * blocks + c] = v;
+        }
     }
 }
 
@@ -225,7 +281,7 @@ static inline double least(const double *x, int64_t n, double acc)
 }
 
 /* out[i, j] += sum(g[i + t, j + step * t] for t < length) for the rows x
- * cols row-major out, g read through a row stride of gstride doubles; step
+ * cols out and g, read through row strides of ostride and gstride doubles; step
  * 0 sums down a column, step 1 along a diagonal. In blocks of length rows
  * (van Herk; Gil & Werman), the window from block row r is the suffix sum
  * of its block's rows r .. length - 1 plus the prefix sum of the next
@@ -248,7 +304,7 @@ static inline double least(const double *x, int64_t n, double acc)
  * Unless rowmin is NULL, rowmin[i] becomes the minimum of row i of out,
  * each strip of the row folded in while it is still in cache. A minimum
  * rounds nothing, so it equals numpy's out.min(axis=1) bitwise. */
-void window_sums(double *out, int64_t rows, int64_t cols, const double *g, int64_t gstride, int64_t length,
+void window_sums(double *out, int64_t rows, int64_t cols, int64_t ostride, const double *g, int64_t gstride, int64_t length,
                  int64_t step, int64_t fresh, int64_t strip, double *work, double *rowmin)
 {
     double *d = work, *e = work + strip; /* D_r of the strip; E_0 .. E_{length-2}, a row each */
@@ -288,7 +344,7 @@ void window_sums(double *out, int64_t rows, int64_t cols, const double *g, int64
                 if (r >= n)
                     continue;
                 const int64_t end = cols - col < w ? cols - col : w;
-                double *restrict o = out + (lo + r) * cols + col + first;
+                double *restrict o = out + (lo + r) * ostride + col + first;
                 if (r == 0)
                     for (int64_t t = 0; t < end - first; t++)
                         o[t] = (fresh ? 0.0 : o[t]) + dr[t];

@@ -67,9 +67,10 @@ _SIGNATURES = {
         _I64,
         [_PTR, _I64, _I64, _I64, _PTR, _PTR, _PTR, _PTR, _I64, _PTR, _I64, ctypes.c_double, _PTR, _PTR],
     ),
-    "distance_rows": (None, [_PTR, _I64, _PTR, _I64, _I64, _PTR]),
+    "distance_rows": (None, [_PTR, _I64, _PTR, _I64, _I64, _PTR, _PTR]),
+    "span_minima": (None, [_PTR, _PTR, _I64, _I64, _I64, _I64, _PTR]),
     "min_pool_rows": (None, [_PTR, _I64, _I64, _I64, _PTR, _PTR]),
-    "window_sums": (None, [_PTR, _I64, _I64, _PTR, _I64, _I64, _I64, _I64, _I64, _PTR, _PTR]),
+    "window_sums": (None, [_PTR, _I64, _I64, _I64, _PTR, _I64, _I64, _I64, _I64, _I64, _PTR, _PTR]),
 }
 
 

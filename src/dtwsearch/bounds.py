@@ -39,6 +39,8 @@ from .metrics import _entries
 # Columns per strip of the window sums: a strip's prefix sums, one row of
 # them per window row, stay in cache until its entries of out are written.
 _STRIP = 256
+# Placement columns per column block of the coarse lower bound (CoarseBounds), a multiple of 8.
+COARSE = 32
 
 
 @dataclass(frozen=True)
@@ -47,24 +49,16 @@ class BoundMatrices:
 
     min_pool:  n x (m - omega_w + 1), row-window minima of the distance matrix.
     min_path:  lower-bound grid over all placements.
-    row_min:   the minimum of each row of min_path, bitwise min_path.min(axis=1).
     """
 
     min_pool: np.ndarray
     min_path: np.ndarray
-    row_min: np.ndarray
 
     def __post_init__(self):
-        for name in ("min_pool", "min_path", "row_min"):
+        for name in ("min_pool", "min_path"):
             arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    @property
-    def max_path(self) -> np.ndarray:
-        """Always empty: no upper-bound grid is built. Its one reader is the benchmark tracer
-        (``dtwbench/spans.py``), which adds its bytes to the grids' until it reads ``SearchStats``."""
-        return np.empty((0, 0))
 
     @property
     def shape(self):
@@ -84,17 +78,22 @@ def min_pool(m, omega_w: int) -> np.ndarray:
     if not 1 <= omega_w <= cols:
         raise WindowTooLarge(f"omega_w={omega_w} does not fit matrix with {cols} columns")
     out = grid((n, cols - omega_w + 1))
-    lib = _kernel()[0]
+    _pool_rows(arr, out, omega_w, 0, n)
+    return out
 
-    def part(start, stop):
+
+def _pool_rows(arr: np.ndarray, out: np.ndarray, omega_w: int, start: int, stop: int):
+    """Rows start .. stop - 1 of the min-pool of arr, written into the same rows of out."""
+    lib, cols = _kernel()[0], arr.shape[1]
+
+    def part(lo, hi):
         work = np.empty(2 * cols)
         lib.min_pool_rows(
-            arr.ctypes.data + start * arr.strides[0], stop - start, cols, omega_w, work.ctypes.data,
-            out.ctypes.data + start * out.strides[0],
+            arr.ctypes.data + (start + lo) * arr.strides[0], hi - lo, cols, omega_w, work.ctypes.data,
+            out.ctypes.data + (start + lo) * out.strides[0],
         )
 
-    split(part, n, cost=cols)
-    return out
+    split(part, stop - start, cost=cols)
 
 
 def _add_window_sums(out: np.ndarray, g: np.ndarray, length: int, step: int, fresh: bool, row_min=None):
@@ -104,8 +103,8 @@ def _add_window_sums(out: np.ndarray, g: np.ndarray, length: int, step: int, fre
     sum of its block from r plus the prefix running sum of the next block's
     first r rows (van Herk 1992; Gil & Werman 1993). No sum has more than
     `length` terms, so its rounding scales with the window, not the series.
-    Runs in the compiled library (``window_sums`` in ``_kernel.c``); g may
-    be a view with any row stride. With ``fresh``, out holds nothing yet:
+    Runs in the compiled library (``window_sums`` in ``_kernel.c``); out
+    and g may be views with any row stride. With ``fresh``, out holds nothing yet:
     each entry is written as 0.0 plus its sum, as if out were zeros. A
     ``row_min`` array, one float64 per row of out, receives each row's minimum.
 
@@ -117,9 +116,7 @@ def _add_window_sums(out: np.ndarray, g: np.ndarray, length: int, step: int, fre
     width = cols + step * (length - 1)
     if not (
         out.dtype == g.dtype == np.float64
-        and out.flags.c_contiguous
-        and g.strides[1] == g.itemsize
-        and g.strides[0] % g.itemsize == 0
+        and all(a.strides[1] == a.itemsize and a.strides[0] % a.itemsize == 0 for a in (out, g))
         and g.shape[0] >= rows + length - 1
         and g.shape[1] >= width
         and length >= 1
@@ -132,8 +129,9 @@ def _add_window_sums(out: np.ndarray, g: np.ndarray, length: int, step: int, fre
     def part(start, stop):
         work = np.empty((length + 1) * _STRIP)
         lib.window_sums(
-            out.ctypes.data + start * out.strides[0], stop - start, cols, g.ctypes.data + start * g.strides[0],
-            g.strides[0] // g.itemsize, length, step, fresh, _STRIP, work.ctypes.data,
+            out.ctypes.data + start * out.strides[0], stop - start, cols, out.strides[0] // out.itemsize,
+            g.ctypes.data + start * g.strides[0], g.strides[0] // g.itemsize, length, step, fresh, _STRIP,
+            work.ctypes.data,
             None if row_min is None else row_min.ctypes.data + start * row_min.itemsize,
         )
 
@@ -212,12 +210,127 @@ def upper_bound_matrix(m, omega_u: int, omega_w: int, radius: int | None = None)
 
 
 def compute_bounds(m, omega_u: int, omega_w: int) -> BoundMatrices:
-    """Build the min-pool, the lower-bound grid and its row minima for one search instance.
+    """Build the min-pool and the whole lower-bound grid for one search instance.
 
     The lower bound holds under any band, since a band only removes paths.
+    The search builds its bounds by row blocks instead (coarse_bounds);
+    this is what ``--dump-bounds`` writes and what the tests compare with.
     """
     arr = _entries(m)
     _check_window_order(arr, omega_u, omega_w)
     pool = min_pool(arr, omega_w)
-    row_min = np.empty(arr.shape[0] - omega_u + 1)
-    return BoundMatrices(min_pool=pool, min_path=lower_bound_matrix(pool, omega_u, row_min), row_min=row_min)
+    return BoundMatrices(min_pool=pool, min_path=lower_bound_matrix(pool, omega_u))
+
+
+class CoarseBounds:
+    """The search's lower bounds: coarse at every placement, exact in the row blocks refined.
+
+    coarse[a, c] is at most the exact lower bound (``lower_bound_matrix``)
+    of every placement (a, b) with b // COARSE == c, bitwise, and
+    coarse_min[a] is the minimum of its row. A row block is the omega_u
+    placement rows from block * omega_u. ``refine`` computes a block's
+    exact lower bounds over a span of columns into a grid of its own
+    (``block``), bitwise those of ``lower_bound_matrix`` there. ``min_pool``
+    then holds the pool rows its sums read, which are every row the DTW
+    kernel reads for its placements. A block refined over every column also
+    has its rows' minima in ``row_min`` (+inf in the other rows). What has
+    not been refined holds arbitrary values.
+
+    Building it makes the coarse grid only. Given a ``DistanceMatrix`` from
+    ``distance_matrix(..., group_min=True)``, its span minima read the
+    minima of 8 columns instead of every entry.
+    """
+
+    def __init__(self, m, omega_u: int, omega_w: int):
+        arr = _entries(m)
+        _check_window_order(arr, omega_u, omega_w)
+        n, cols = arr.shape
+        self.omega_u, self.omega_w, self._arr = omega_u, omega_w, arr
+        self.shape = (n - omega_u + 1, cols - omega_w + 1)
+        self.size = self.shape[0] * self.shape[1]
+        self.min_pool = grid((n, self.shape[1]), writeable=False)
+        self.row_min = np.full(self.shape[0], np.inf)
+        self._built = np.zeros(n, dtype=bool)  # pool rows
+        self._span = np.zeros((-(-self.shape[0] // omega_u), 2), dtype=np.int64)  # each block's refined columns
+        self._lower = [None] * len(self._span)  # each refined block's grid, omega_u x the placement columns
+        blocks = -(-self.shape[1] // COARSE)
+        self._spans = grid((n, blocks))
+        least = getattr(m, "group_min", None)
+        lib = _kernel()[0]
+
+        def part(start, stop):
+            lib.span_minima(
+                arr.ctypes.data + start * arr.strides[0],
+                None if least is None else least.ctypes.data + start * least.strides[0], stop - start, cols, omega_w,
+                COARSE, self._spans.ctypes.data + start * self._spans.strides[0],
+            )
+
+        split(part, n, cost=blocks * (COARSE + omega_w) // 8)
+        self.coarse = grid((self.shape[0], blocks), writeable=False)
+        self.coarse_min = np.empty(self.shape[0])
+        _add_window_sums(self.coarse, self._spans, omega_u, 0, True, self.coarse_min)
+        self.block_min = np.minimum.reduceat(self.coarse_min, np.arange(0, self.shape[0], omega_u))
+
+    @property
+    def nbytes(self) -> int:
+        """The bytes of every grid it holds: the min-pool, the coarse grids and the refined blocks'."""
+        return sum(g.nbytes for g in (self.min_pool, self._spans, self.coarse, *self._refined()))
+
+    def _refined(self) -> list:
+        return [g for g in self._lower if g is not None]
+
+    def rows(self, block: int) -> tuple:
+        """The placement rows [start, stop) of a row block."""
+        return block * self.omega_u, min((block + 1) * self.omega_u, self.shape[0])
+
+    def block(self, block: int) -> np.ndarray:
+        """A refined row block's exact lower bounds, one row per placement row, good over its refined columns."""
+        r0, r1 = self.rows(block)
+        return self._lower[block][: r1 - r0]
+
+    def refine(self, block: int, start: int = 0, stop: int | None = None):
+        """Make the exact lower bounds of a row block over columns [start, stop) at least (every column by default)."""
+        stop = self.shape[1] if stop is None else stop
+        have = self._span[block].tolist()
+        if have[0] <= start and stop <= have[1]:
+            return
+        if have[0] < have[1]:
+            start, stop = min(start, have[0]), max(stop, have[1])
+        else:  # every block's grid has the same shape, so that the memory of one search serves the next
+            self._lower[block] = grid((self.omega_u, self.shape[1]), writeable=False)
+        r0, r1 = self.rows(block)
+        self._build_pool(r0, r1 + self.omega_u - 1)  # the rows the sums read
+        whole = start == 0 and stop == self.shape[1]
+        _add_window_sums(
+            self.block(block)[:, start:stop], self.min_pool[r0:, start:stop], self.omega_u, 0, True,
+            self.row_min[r0:r1] if whole else None,
+        )
+        self._span[block] = start, stop
+
+    def _build_pool(self, start: int, stop: int):
+        """Build the pool rows start .. stop - 1 not built yet, in one run from the first of them to the last.
+
+        For one row block's rows that run holds no row built before: a
+        neighbouring block builds only the rows next to it. A row built
+        again gets the same values.
+        """
+        todo = np.flatnonzero(~self._built[start:stop])
+        if todo.size:
+            _pool_rows(self._arr, self.min_pool, self.omega_w, start + int(todo[0]), start + int(todo[-1]) + 1)
+            self._built[start:stop] = True
+
+    def refine_all(self) -> list:
+        """Refine every row block over every column; returns each block's grid (``block``), in order."""
+        self._build_pool(0, len(self._built))  # in one call, split over the CPUs
+        for block in range(len(self._span)):
+            self.refine(block)
+        return [self.block(block) for block in range(len(self._span))]
+
+    def lower_at(self, flat: np.ndarray) -> np.ndarray:
+        """The exact lower bounds at flat placement indices, each in a refined block and span."""
+        row, col = np.divmod(flat, self.shape[1])
+        out = np.empty(row.size)
+        for block in np.unique(row // self.omega_u).tolist():
+            at = np.flatnonzero(row // self.omega_u == block)
+            out[at] = self.block(block)[row[at] - block * self.omega_u, col[at]]
+        return out

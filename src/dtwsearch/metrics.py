@@ -1,7 +1,7 @@
 """The pairwise Euclidean distance matrix, built in the compiled library, and z-normalization."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,9 +18,14 @@ class DistanceMatrix:
     ``distance_matrix`` builds), which no array can ever write. Any other
     buffer the caller may still write is copied, a read-only view of a
     writeable array included.
+
+    ``group_min`` is None unless ``distance_matrix`` was asked for it: then
+    group_min[i, g] is the minimum of entries[i, 8g : 8g + 8], from the same
+    pass. The search's coarse bound reads it.
     """
 
     entries: np.ndarray
+    group_min: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         arr = np.asarray(self.entries, dtype=np.float64)
@@ -39,26 +44,32 @@ def _entries(m) -> np.ndarray:
     return np.asarray(m, dtype=np.float64)
 
 
-def distance_matrix(u: TimeSeries, w: TimeSeries) -> DistanceMatrix:
+def distance_matrix(u: TimeSeries, w: TimeSeries, *, group_min: bool = False) -> DistanceMatrix:
     """entries[i, j] = dist(u_i, w_j): squares summed in dimension order from 0.0, then one root.
 
     Rows are independent, so ``_native.split`` builds them in parts, one
-    per CPU; each entry is the same at any thread count.
+    per CPU; each entry is the same at any thread count. With ``group_min``
+    the same pass keeps the minimum of each row's groups of 8 columns
+    (``DistanceMatrix.group_min``).
     """
     if u.dims != w.dims:
         raise DimensionMismatch(f"series dims differ: {u.dims} vs {w.dims}")
     rows, cols = np.ascontiguousarray(u.values), np.ascontiguousarray(w.values.T)
     entries = grid((u.length, w.length), writeable=False)
+    least = grid((u.length, -(-w.length // 8)), writeable=False) if group_min else None
     lib = _kernel()[0]
 
     def part(start, stop):
         lib.distance_rows(
             rows.ctypes.data + start * rows.strides[0], stop - start, cols.ctypes.data, w.length, u.dims,
             entries.ctypes.data + start * entries.strides[0],
+            None if least is None else least.ctypes.data + start * least.strides[0],
         )
 
     split(part, u.length, cost=w.length * u.dims)
-    return DistanceMatrix(entries=entries)
+    out = DistanceMatrix(entries=entries)
+    object.__setattr__(out, "group_min", least)
+    return out
 
 
 def z_normalize(x: TimeSeries) -> TimeSeries:

@@ -46,7 +46,7 @@ from .core import (
     prune_limit,
     validate_query,
 )
-from .bounds import BoundMatrices, compute_bounds
+from .bounds import COARSE, CoarseBounds
 from .dtw import dtw_batch, dtw_matrix_full, window_cells
 from .metrics import distance_matrix, z_normalize
 
@@ -138,57 +138,77 @@ class Candidates:
         return self.a.size
 
 
-def find_candidates(bm: BoundMatrices, *, threshold: float) -> Candidates:
+def find_candidates(cb: CoarseBounds, *, threshold: float) -> Candidates:
     """Placements whose lower bound does not exceed the prune threshold, in start order.
 
     The comparison is padded by ``prune_limit`` so summation rounding can
     never drop a placement tied at the threshold, whatever the magnitude of
-    the distances. Only the rows whose minimum (``bm.row_min``) is within
-    the limit can hold one, so only those are scanned, one view per run of
-    consecutive such rows.
+    the distances. A placement can qualify only where its coarse bound
+    does, so only the row blocks with such a coarse entry are refined and
+    scanned, each over the column blocks from its first such entry to its
+    last.
     """
-    limit, cols = prune_limit(threshold), bm.shape[1]
-    live = np.concatenate(([False], bm.row_min <= limit, [False]))
-    idx, lower = [np.empty(0, dtype=np.int64)], [np.empty(0)]
-    for start, stop in np.flatnonzero(live[1:] != live[:-1]).reshape(-1, 2).tolist():  # [start, stop) per run
-        run = bm.min_path[start:stop].ravel()
-        hit = np.flatnonzero(run <= limit)  # row-major: ascending (a, b)
-        lower.append(run[hit])
-        hit += start * cols
-        idx.append(hit)
-    # Joined only when more than one run held candidates: each copy faults in fresh pages.
-    idx, lower = (np.concatenate(x[1:]) if len(x) > 2 else x[-1] for x in (idx, lower))
-    a, b = np.divmod(idx, cols, out=(idx, np.empty_like(idx)))  # a reuses idx's memory
-    a += 1
-    b += 1
+    limit = prune_limit(threshold)
+    a, b, lower = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    for block in np.flatnonzero(cb.block_min <= limit).tolist():
+        r0, r1 = cb.rows(block)
+        live = np.flatnonzero((cb.coarse[r0:r1] <= limit).any(axis=0))
+        c0, c1 = int(live[0]) * COARSE, min((int(live[-1]) + 1) * COARSE, cb.shape[1])
+        cb.refine(block, c0, c1)
+        grid = cb.block(block)[:, c0:c1]
+        hit = np.flatnonzero(grid <= limit)  # row-major: ascending (a, b)
+        lower.append(grid.take(hit))
+        i, j = np.divmod(hit, c1 - c0, out=(hit, np.empty_like(hit)))  # i reuses hit's memory
+        i += r0 + 1
+        j += c0 + 1
+        a.append(i)
+        b.append(j)
+    # Joined only when more than one block held candidates: each copy faults in fresh pages.
+    a, b, lower = (np.concatenate(x[1:]) if len(x) > 2 else x[-1] for x in (a, b, lower))
     return Candidates(a=a, b=b, lower_bounds=lower)
 
 
-def _seed(bm: BoundMatrices, count: int) -> np.ndarray:
+def _seed(cb: CoarseBounds, count: int) -> np.ndarray:
     """Flat indices, ascending, of the ``count`` smallest of each row's q = ceil(count / rows) smallest lower bounds.
 
     Every placement if there are no more. At q = 1 these are the ``count``
-    rows with the smallest minima (``bm.row_min``), each at its first
-    smallest column, so only those rows are read.
+    rows with the smallest minima, the lower row first among ties, each at
+    its first smallest column. Row blocks are refined in the order of their
+    coarse minima until the count-th smallest row minimum found is below
+    the next block's coarse minimum, which bounds every row not yet
+    refined. Otherwise every block is refined. Every seed's row block is
+    refined over every column.
     """
-    lower = bm.min_path
-    rows, cols = lower.shape
-    if count >= lower.size:
-        return np.arange(lower.size)
+    rows, cols = cb.shape
+    if count >= cb.size:
+        cb.refine_all()
+        return np.arange(cb.size)
     q = -(-count // rows)
     if q == 1:
-        row = np.argpartition(bm.row_min, count - 1)[:count] if rows > count else np.arange(rows)
-        return np.sort(row * cols + lower[row].argmin(axis=1))
-    # A few rows at a time, so that no index array of the whole grid is made.
+        order = np.argsort(cb.block_min, kind="stable").tolist()
+        for i, block in enumerate(order):
+            cb.refine(block)
+            following = cb.block_min[order[i + 1]] if i + 1 < len(order) else np.inf
+            if np.partition(cb.row_min, count - 1)[count - 1] < following:
+                break
+        row = np.sort(np.argsort(cb.row_min, kind="stable")[:count])
+        block = row // cb.omega_u
+        col = np.concatenate([cb.block(x)[row[block == x] - x * cb.omega_u].argmin(axis=1) for x in np.unique(block).tolist()])
+        return row * cols + col
+    # A few rows at a time, so that no index array of a whole block is made.
     step = max(1, _CHUNK // cols)
-    col = np.concatenate([np.argpartition(lower[r : r + step], q - 1, axis=1)[:, :q] for r in range(0, rows, step)])
-    flat = (col + np.arange(0, lower.size, cols)[:, None]).ravel()
+    col, lower = [], []
+    for grid in cb.refine_all():
+        for r in range(0, grid.shape[0], step):
+            col.append(np.argpartition(grid[r : r + step], q - 1, axis=1)[:, :q])
+            lower.append(np.take_along_axis(grid[r : r + step], col[-1], axis=1))
+    flat = (np.concatenate(col) + np.arange(0, cb.size, cols)[:, None]).ravel()
     if flat.size > count:
-        flat = flat[np.argpartition(lower.ravel()[flat], count - 1)[:count]]
+        flat = flat[np.argpartition(np.concatenate(lower, axis=None), count - 1)[:count]]
     return np.sort(flat)
 
 
-def _evaluate(m, omega_u, omega_w, cands: Candidates, bm: BoundMatrices, k, bound, radius, d=None):
+def _evaluate(m, omega_u, omega_w, cands: Candidates, bounds, k, bound, radius, d=None):
     """Exact DTW of the candidates that can rank, under a falling threshold.
 
     The threshold is the smaller of ``bound`` and the k-th smallest
@@ -203,6 +223,7 @@ def _evaluate(m, omega_u, omega_w, cands: Candidates, bm: BoundMatrices, k, boun
     ``d`` carries distances found before (the seed's, or an earlier
     round's), aligned with these candidates (nan where not evaluated); a
     carried +inf runs again when the threshold admits its lower bound.
+    The kernel reads ``bounds.min_pool`` in the candidates' rows.
     """
     lbs = cands.lower_bounds
     d = np.full(lbs.size, np.nan) if d is None else np.where(np.isinf(d), np.nan, d)
@@ -227,7 +248,7 @@ def _evaluate(m, omega_u, omega_w, cands: Candidates, bm: BoundMatrices, k, boun
         idx = pos + np.flatnonzero(np.isnan(d[part]) & (lbs[part] <= prune_limit(thr)))
         if idx.size:
             a0, b0, limit = cands.a[idx] - 1, cands.b[idx] - 1, prune_limit(thr)
-            d[idx], c = dtw_batch(m, omega_u, omega_w, a0, b0, radius=radius, threshold=limit, pool=bm.min_pool)
+            d[idx], c = dtw_batch(m, omega_u, omega_w, a0, b0, radius=radius, threshold=limit, pool=bounds.min_pool)
             cells += c
             lower(d[idx])
     return d, (float(top[-1]) if top.size >= k else thr), cells
@@ -254,11 +275,11 @@ def _spread(ranked: np.ndarray, a: np.ndarray, b: np.ndarray, shape, exclusion: 
     return np.array(picked, dtype=np.int64)
 
 
-def _start(u: TimeSeries, w: TimeSeries, wp: WindowPair, opts: SearchOptions):
+def _start(u: TimeSeries, w: TimeSeries, wp: WindowPair, opts: SearchOptions, group_min: bool = False):
     """Every search's prologue: validate, normalize, swap so that wu >= ww, distance matrix.
 
     Returns (clock, m, wu, ww, swapped), with the clock charged for the
-    normalize and distance stages.
+    normalize and distance stages; ``group_min`` is passed to ``distance_matrix``.
     """
     clock = _Stages()
     validate_query(u, w, wp)
@@ -270,7 +291,7 @@ def _start(u: TimeSeries, w: TimeSeries, wp: WindowPair, opts: SearchOptions):
     if swapped:
         u, w, wu, ww = w, u, ww, wu
     clock.lap("normalize_ms")
-    m = distance_matrix(u, w)
+    m = distance_matrix(u, w, group_min=group_min)
     clock.lap("distance_ms")
     return clock, m, wu, ww, swapped
 
@@ -280,16 +301,17 @@ class _Ranking:
     """What one pruned search found.
 
     ``d`` holds the distances of the last round's candidates (+inf where
-    abandoned, nan where never evaluated), ``a`` and ``b`` their internal
-    1-based starts, ``ra`` and ``rb`` the same starts in the caller's
-    orientation, and ``chosen`` the indices into ``d`` of the ranked picks.
+    abandoned, nan where never evaluated), ``lower`` their lower bounds,
+    ``a`` and ``b`` their internal 1-based starts, ``ra`` and ``rb`` the
+    same starts in the caller's orientation, and ``chosen`` the indices
+    into ``d`` of the ranked picks.
     """
 
     clock: _Stages
-    m: np.ndarray
-    bm: BoundMatrices
-    pairs_after_prune: int
+    pairs_total: int
+    grid_bytes: int
     d: np.ndarray
+    lower: np.ndarray
     a: np.ndarray
     b: np.ndarray
     ra: np.ndarray
@@ -301,24 +323,24 @@ class _Ranking:
     def stats(self, top: int, distance: float) -> SearchStats:
         """Close the evaluate stage; lb_tightness is the lower bound at candidate ``top`` over ``distance``."""
         self.clock.lap("evaluate_ms")
-        lower = float(self.bm.min_path[self.a[top] - 1, self.b[top] - 1])
+        lower = float(self.lower[top])
         return SearchStats(
-            pairs_total=int(self.bm.min_path.size),
-            pairs_after_prune=self.pairs_after_prune,
+            pairs_total=self.pairs_total,
+            pairs_after_prune=self.d.size,
             dtw_evaluations=self.d.size - int(np.count_nonzero(np.isnan(self.d))),
             dp_cells=self.dp_cells,
             lb_tightness=lower / distance if distance > 0 else 1.0,
-            peak_grid_bytes=sum(g.nbytes for g in (self.m, self.bm.min_pool, self.bm.min_path)),
+            peak_grid_bytes=self.grid_bytes,
             **self.clock.fields(),
         )
 
 
 def _rank(u: TimeSeries, w: TimeSeries, wp: WindowPair, k: int, opts: SearchOptions) -> _Ranking:
     """The pruned search: the k best placements (fewer if fewer exist), ranked and spread by exclusion."""
-    clock, m, wu, ww, swapped = _start(u, w, wp, opts)
-    bm = compute_bounds(m, wu, ww)
+    clock, m, wu, ww, swapped = _start(u, w, wp, opts, group_min=True)
+    cb = CoarseBounds(m, wu, ww)
     clock.lap("bounds_ms")
-    total, cols = int(bm.min_path.size), bm.shape[1]
+    total, cols = cb.size, cb.shape[1]
     k = min(k, total)
 
     # The first threshold is the larger of the seed's k-th distance and its
@@ -330,27 +352,27 @@ def _rank(u: TimeSeries, w: TimeSeries, wp: WindowPair, k: int, opts: SearchOpti
     # lower bound there too. Each round's candidates contain the previous
     # round's (the seed's first), in start order, so distances carry over
     # by flat index; a round whose threshold did not rise keeps the list.
-    flat = _seed(bm, max(_SEED_MIN, _SEED_PER_K * k))
+    flat = _seed(cb, max(_SEED_MIN, _SEED_PER_K * k))
     d, cells = dtw_batch(m.entries, wu, ww, flat // cols, flat % cols, radius=opts.band_radius)
-    bound = max(float(np.partition(d, k - 1)[k - 1]), float(bm.min_path.ravel()[flat].max()))
+    bound = max(float(np.partition(d, k - 1)[k - 1]), float(cb.lower_at(flat).max()))
     clock.lap("evaluate_ms")
     kk, need, filtered = k, k, None  # filtered: the threshold of the candidate list
     while True:
         if bound != filtered:
-            cands, filtered = find_candidates(bm, threshold=bound), bound
+            cands, filtered = find_candidates(cb, threshold=bound), bound
             clock.lap("candidates_ms")
             a, b = cands.a, cands.b
             carried = np.full(len(cands), np.nan)
             carried[np.searchsorted((a - 1) * cols + b - 1, flat)] = d
             d = carried
-        d, kth, c = _evaluate(m.entries, wu, ww, cands, bm, need, bound, opts.band_radius, d)
+        d, kth, c = _evaluate(m.entries, wu, ww, cands, cb, need, bound, opts.band_radius, d)
         cells += c
         ra, rb = (b, a) if swapped else (a, b)
         # Every placement with distance <= kth was evaluated exactly, so
         # this ranking is exact.
         ranked = np.flatnonzero(d <= kth + TIE_TOLERANCE)
         ranked = ranked[np.lexsort((rb[ranked], ra[ranked], d[ranked]))]
-        chosen = _spread(ranked, a, b, bm.shape, opts.exclusion, k)
+        chosen = _spread(ranked, a, b, cb.shape, opts.exclusion, k)
         clock.lap("evaluate_ms")
         if chosen.size == k or kk == total:
             break
@@ -361,10 +383,11 @@ def _rank(u: TimeSeries, w: TimeSeries, wp: WindowPair, k: int, opts: SearchOpti
         need, flat = total, (a - 1) * cols + b - 1
         # The candidates are every placement at or below the padded
         # threshold, so when there are kk of them their kk-th smallest lower
-        # bound is the grid's.
-        lbs = cands.lower_bounds if kk <= len(cands) else bm.min_path.ravel()
+        # bound is the grid's; otherwise the whole grid is refined.
+        lbs = cands.lower_bounds if kk <= len(cands) else np.concatenate(cb.refine_all(), axis=None)
         bound = np.inf if kk == total else max(bound, float(np.partition(lbs, kk - 1)[kk - 1]))
-    return _Ranking(clock, m.entries, bm, len(cands), d, a, b, ra, rb, swapped, chosen, cells)
+    grid_bytes = m.entries.nbytes + m.group_min.nbytes + cb.nbytes
+    return _Ranking(clock, total, grid_bytes, d, cands.lower_bounds, a, b, ra, rb, swapped, chosen, cells)
 
 
 def _result(wp: WindowPair, opts: SearchOptions, solutions, shortest: float, swapped: bool, stats) -> SearchResult:

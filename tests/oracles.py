@@ -120,6 +120,22 @@ def block_path_sums(g, path, shape):
     return out
 
 
+def coarse_lower_bound(m, omega_u, omega_w, width=32):
+    """The numpy coarse lower bound the compiled one must equal bitwise.
+
+    Each row's minimum over the distance columns that a window starting in
+    each block of ``width`` placement columns reaches, summed over omega_u
+    rows by block_window_sums, as the exact lower bound sums the min-pool.
+    """
+    m = np.asarray(m, dtype=np.float64)
+    n, cols = m.shape
+    starts = range(0, cols - omega_w + 1, width)
+    spans = np.stack([m[:, s : min(s + width + omega_w - 1, cols)].min(axis=1) for s in starts], axis=1)
+    out = np.zeros((n - omega_u + 1, spans.shape[1]))
+    block_window_sums(out, spans, omega_u, 0)
+    return out
+
+
 def naive_min_pool(m, omega_w):
     m = np.asarray(m, dtype=float)
     n, cols = m.shape
@@ -174,15 +190,14 @@ def argmin_seed(lower, count):
     """Flat indices, ascending, of the search's seed at one placement per row (q = 1).
 
     Each row's first smallest lower bound by one argmin over the whole
-    grid, then the ``count`` smallest of those by one argpartition: the
-    reference for ``search._seed``, which reads only the chosen rows.
+    grid, then the ``count`` smallest of those, the lower row first among
+    ties, by one stable sort: the reference for ``search._seed``, which
+    reads only the chosen rows.
     """
     rows, cols = lower.shape
     assert count <= rows, "q = 1 needs at least one row per seed"
     flat = lower.argmin(axis=1) + np.arange(0, lower.size, cols)
-    if flat.size > count:
-        flat = flat[np.argpartition(lower.ravel()[flat], count - 1)[:count]]
-    return np.sort(flat)
+    return np.sort(flat[np.argsort(lower.ravel()[flat], kind="stable")[:count]])
 
 
 def fsum_path_sums(g, path, shape):

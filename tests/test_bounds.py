@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from dtwsearch import (
+    CoarseBounds,
+    TimeSeries,
     WindowOrderViolated,
     WindowTooLarge,
     compute_bounds,
+    distance_matrix,
     dtw_batch,
     dtw_matrix_full,
     dtw_windowed,
@@ -14,9 +17,10 @@ from dtwsearch import (
     upper_bound_matrix,
     upper_bound_path,
 )
-from dtwsearch.bounds import _STRIP, _add_window_sums
+from dtwsearch.bounds import COARSE, _STRIP, _add_window_sums
 from oracles import (
     block_path_sums,
+    coarse_lower_bound,
     block_window_sums,
     doubling_min_pool,
     fixed_upper_path,
@@ -305,17 +309,70 @@ def test_row_minima_equal_the_grid_row_minima_at_any_split(parts, rng, scale):
     # of the window sums; and rounded costs, so that a row's minimum ties.
     for n, m, wu, ww in ((203, 150, 40, 30), (97, 61, 17, 5), (9, 9, 8, 3), (30, 40, 1, 1), (7, 80, 7, 7), (60, 700, 13, 9)):
         for mat in (np.abs(rng.normal(size=(n, m))) * scale, np.round(rng.uniform(0, 3, size=(n, m))) * scale):
-            bm = compute_bounds(mat, wu, ww)
-            assert bm.row_min.tobytes() == np.array(bm.min_path).min(axis=1).tobytes()
-            assert not bm.row_min.flags.writeable
+            lower = compute_bounds(mat, wu, ww).min_path
             row_min = np.empty(n - wu + 1)
-            assert lower_bound_matrix(min_pool(mat, ww), wu, row_min).tobytes() == bm.min_path.tobytes()
-            assert row_min.tobytes() == bm.row_min.tobytes()
+            assert lower_bound_matrix(min_pool(mat, ww), wu, row_min).tobytes() == lower.tobytes()
+            assert row_min.tobytes() == np.array(lower).min(axis=1).tobytes()
+
+
+# (n, m, omega_u, omega_w): omega_u dividing the placement rows or not, one
+# row block or many; column counts below, at and past a multiple of 32
+# placement columns; omega_w below, at and above 32, and the whole width.
+COARSE_SHAPES = [(203, 150, 40, 30), (97, 61, 17, 5), (9, 40, 8, 8), (120, 160, 40, 33), (100, 95, 70, 64), (60, 700, 13, 9), (31, 33, 1, 1), (90, 44, 50, 44)]
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
+def test_coarse_bound_is_at_most_every_exact_bound_of_its_block(parts, rng, scale):
+    # Compared exactly: each coarse term is at most the exact bound's term,
+    # and both sum in the same blocks and order, so rounding keeps the order.
+    for n, m, wu, ww in COARSE_SHAPES:
+        for mat in (rng.uniform(size=(n, m)) * scale, np.round(rng.uniform(0, 3, size=(n, m))) * scale):
+            lower = compute_bounds(mat, wu, ww).min_path
+            cb = CoarseBounds(mat, wu, ww)
+            assert cb.coarse.tobytes() == coarse_lower_bound(mat, wu, ww, COARSE).tobytes()
+            assert np.all(np.repeat(cb.coarse, COARSE, axis=1)[:, : lower.shape[1]] <= lower)
+            assert cb.coarse_min.tobytes() == np.array(cb.coarse).min(axis=1).tobytes()
+            assert np.all(cb.coarse_min <= np.array(lower).min(axis=1))
+            for block in range(len(cb.block_min)):
+                r0, r1 = cb.rows(block)
+                assert cb.block_min[block] == cb.coarse_min[r0:r1].min()
+
+
+def test_coarse_bound_from_the_distance_pass_minima_is_the_same(parts, rng):
+    # The search's span minima read the minima of 8 columns that the
+    # distance pass keeps; read from every entry instead, they are bitwise the same.
+    for n, m, wu, ww in COARSE_SHAPES:
+        for dims in (1, 3):
+            u, w = TimeSeries(values=rng.normal(size=(n, dims))), TimeSeries(values=rng.normal(size=(m, dims)))
+            dm = distance_matrix(u, w, group_min=True)
+            assert CoarseBounds(dm, wu, ww).coarse.tobytes() == CoarseBounds(dm.entries, wu, ww).coarse.tobytes()
+
+
+def test_refined_row_blocks_equal_the_lower_bound_grid_bitwise(parts, rng):
+    # Blocks refined in a shuffled order, over spans that grow, so that a
+    # block's pool rows are partly built by its neighbours and a span is
+    # widened by a later call. The last block of rows may be short.
+    for n, m, wu, ww in COARSE_SHAPES:
+        mat = rng.uniform(size=(n, m)) * 1e3
+        bm = compute_bounds(mat, wu, ww)
+        cb = CoarseBounds(mat, wu, ww)
+        cols = bm.shape[1]
+        for block in rng.permutation(len(cb.block_min)).tolist():
+            r0, r1 = cb.rows(block)
+            c0 = int(rng.integers(0, cols))
+            c1 = int(rng.integers(c0 + 1, cols + 1))
+            for start, stop in ((c0, c1), (max(0, c0 - 3), c1), (0, cols)):
+                cb.refine(block, start, stop)
+                assert cb.block(block)[:, start:stop].tobytes() == bm.min_path[r0:r1, start:stop].tobytes()
+            assert cb.min_pool[r0 : r1 + wu - 1].tobytes() == bm.min_pool[r0 : r1 + wu - 1].tobytes()
+            assert cb.row_min[r0:r1].tobytes() == np.array(bm.min_path[r0:r1]).min(axis=1).tobytes()
+        assert np.concatenate(cb.refine_all()).tobytes() == bm.min_path.tobytes()
+        assert cb.min_pool.tobytes() == bm.min_pool.tobytes()
 
 
 def kept(mat, wu, ww):
     """1-based placements that survive the paper's prune, by the smallest upper bound."""
-    cands = find_candidates(compute_bounds(mat, wu, ww), threshold=upper_bound_matrix(mat, wu, ww).min())
+    cands = find_candidates(CoarseBounds(mat, wu, ww), threshold=upper_bound_matrix(mat, wu, ww).min())
     return set(zip(cands.a.tolist(), cands.b.tolist()))
 
 

@@ -99,34 +99,39 @@ def test_a_view_of_a_dropped_grid_keeps_its_bytes():
         del dm, bm, grids
 
 
-def search_after_poisoned_grids(seed, n, m, wu, ww):
-    """One search's fingerprint, then the same after its bound grids' shapes were written with nan and dropped.
+def poison_kept_blocks() -> set:
+    """Write nan into every block the allocator keeps, once every dropped grid is collected; returns their addresses."""
+    from dtwsearch import _native
 
-    The third value says whether every bound grid of the second search took
-    poisoned memory, so that the test is known to exercise it.
+    gc.collect()
+    for block in _native._FREE:
+        block.fill(np.nan)
+    return {block.ctypes.data for block in _native._FREE}
+
+
+def search_after_poisoned_grids(seed, n, m, wu, ww):
+    """One search's fingerprint, then the same after every kept grid block was written with nan.
+
+    The third value says whether the second search's min-pool and the
+    grids of its refined row blocks took poisoned memory, so that the test
+    is known to exercise it.
     """
     first = fingerprint(seed, n, m, wu, ww)
-    dm = distance_matrix(*pair(seed, n, m))
-    grids = [min_pool(dm, ww)]
-    grids += [lower_bound_matrix(grids[0], wu), upper_bound_matrix(dm, wu, ww)]
-    poisoned = set()
-    for g in grids:
-        g.fill(np.nan)
-        poisoned.add(g.ctypes.data)
-    del dm, grids, g
+    infer_most_similar(*pair(seed, n, m), WindowPair(wu, ww))  # the kept blocks are now the search's own
+    poisoned = poison_kept_blocks()
     used = set()
-    build = search.compute_bounds
+    build = search.CoarseBounds
 
     def spy(*args, **kwargs):
-        bm = build(*args, **kwargs)
-        used.update(g.ctypes.data for g in (bm.min_pool, bm.min_path))
-        return bm
+        cb = build(*args, **kwargs)
+        used.update(g.ctypes.data for g in (cb.min_pool, *cb._refined()))
+        return cb
 
-    search.compute_bounds = spy
+    search.CoarseBounds = spy
     try:
         second = fingerprint(seed, n, m, wu, ww)
     finally:
-        search.compute_bounds = build
+        search.CoarseBounds = build
     return first, second, used <= poisoned
 
 
@@ -134,6 +139,60 @@ def test_writes_into_dropped_grids_do_not_change_the_next_search():
     first, second, reused = in_fresh_process("print(json.dumps(t.search_after_poisoned_grids(7, 300, 280, 40, 30)))")
     assert reused
     assert second == first
+
+
+def banded_searches_on_poisoned_grids():
+    """A banded search whose grids all lie on nan-poisoned memory, and the same search with every row block refined first.
+
+    Returns each one's answer and counters, brute force's answer, whether
+    the first search's min-pool and refined blocks' grids were poisoned, and
+    its row blocks refined and min-pool rows built, each out of how many.
+    """
+    u, w, _ = generate_pair(SimulationSpec(700, 660, motif_len_u=60, motif_len_w=50, gamma=0.05, seed=4, dims=2))
+    wp, opts = WindowPair(60, 50), SearchOptions(band_radius=4)
+    infer_most_similar(u, w, wp, opts)  # the library loads and the grids' blocks are kept
+    poisoned = poison_kept_blocks()
+    made = []
+    build = search.CoarseBounds
+
+    def lazy(*args, **kwargs):
+        made.append(build(*args, **kwargs))
+        return made[-1]
+
+    def whole(*args, **kwargs):
+        cb = build(*args, **kwargs)
+        cb.refine_all()
+        return cb
+
+    runs = []
+    for builder in (lazy, whole):
+        search.CoarseBounds = builder
+        try:
+            r = infer_most_similar(u, w, wp, opts)
+        finally:
+            search.CoarseBounds = build
+        runs.append([r.shortest_dist, sorted(r.solutions), [getattr(r.stats, f) for f in COUNTERS[:5]]])
+    bf = brute_force_search(u, w, wp, opts)
+    cb = made[0]
+    refined = int(np.count_nonzero(cb._span[:, 1] > cb._span[:, 0]))
+    return (
+        runs, [bf.shortest_dist, sorted(bf.solutions)], {g.ctypes.data for g in (cb.min_pool, *cb._refined())} <= poisoned,
+        [refined, len(cb._span), int(cb._built.sum()), cb._built.size],
+    )
+
+
+def test_a_banded_search_reads_only_the_pool_rows_it_built():
+    # Pool rows that no refined row block needs are never written, so they
+    # still hold nan; a kernel that read one would abandon or mis-rank a
+    # placement. The answer and every counter equal the search that refines
+    # the whole grid first, and the answer equals brute force's.
+    (lazy, whole), bf, poisoned, (refined, blocks, built, rows) = in_fresh_process(
+        "print(json.dumps(t.banded_searches_on_poisoned_grids()))"
+    )
+    assert poisoned
+    assert refined <= blocks // 3 and built < rows // 2
+    assert lazy == whole
+    assert lazy[:2] == bf
 
 
 MIXED = [

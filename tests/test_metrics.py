@@ -97,6 +97,21 @@ def test_distance_matrix_equals_the_numpy_blocks_bitwise(dims, magnitude):
         assert got.tobytes() == blocked_distance_matrix(uv, wv).tobytes()
 
 
+@pytest.mark.parametrize("dims", [1, 2, 5])
+def test_distance_matrix_keeps_the_minimum_of_every_8_columns(parts, dims):
+    # Widths below, at and past a multiple of 8, so a row may end in a short group.
+    rng = np.random.default_rng(dims)
+    for n, m in ((1, 1), (3, 7), (17, 8), (40, 301), (9, 64)):
+        uv, wv = rng.normal(size=(n, dims)), rng.normal(size=(m, dims))
+        dm = distance_matrix(TimeSeries(values=uv), TimeSeries(values=wv), group_min=True)
+        assert dm.entries.tobytes() == blocked_distance_matrix(uv, wv).tobytes()
+        padded = np.full((n, -(-m // 8) * 8), np.inf)
+        padded[:, :m] = dm.entries
+        assert dm.group_min.tobytes() == padded.reshape(n, -1, 8).min(axis=2).tobytes()
+        assert not dm.group_min.flags.writeable
+    assert distance_matrix(TimeSeries(values=uv), TimeSeries(values=wv)).group_min is None
+
+
 def test_distance_matrix_copies_a_borrowed_grid():
     grid = np.arange(6.0).reshape(2, 3)
     m = DistanceMatrix(entries=grid)

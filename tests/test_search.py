@@ -6,6 +6,8 @@ import pytest
 
 from dtwsearch import (
     STAGE_FIELDS,
+    BoundMatrices,
+    CoarseBounds,
     InvalidSpec,
     RankedMatch,
     SearchOptions,
@@ -58,15 +60,13 @@ def random_pair(rng, n, m, dims=1):
 
 def test_find_candidates_worked_example():
     m = distance_matrix(U3, W2)
-    bm = compute_bounds(m, 2, 2)
-    cands = find_candidates(bm, threshold=upper_bound_matrix(m, 2, 2).min())
+    cands = find_candidates(CoarseBounds(m, 2, 2), threshold=upper_bound_matrix(m, 2, 2).min())
     assert len(cands) == 1
     assert (cands.a[0], cands.b[0], cands.lower_bounds[0]) == (1, 1, 1.0)
 
 
 def test_find_candidates_all_zero_keeps_everything():
-    bm = compute_bounds(np.zeros((6, 5)), 3, 2)
-    cands = find_candidates(bm, threshold=upper_bound_matrix(np.zeros((6, 5)), 3, 2).min())
+    cands = find_candidates(CoarseBounds(np.zeros((6, 5)), 3, 2), threshold=upper_bound_matrix(np.zeros((6, 5)), 3, 2).min())
     assert len(cands) == (6 - 3 + 1) * (5 - 2 + 1)
     lbs = cands.lower_bounds
     assert np.all(lbs == 0.0)
@@ -77,8 +77,7 @@ def test_find_candidates_planted_zero_diagonal_leaves_one():
     mat = np.full((8, 8), 10.0)
     for k in range(3):
         mat[2 + k, 4 + k] = 0.0
-    bm = compute_bounds(mat, 3, 3)
-    cands = find_candidates(bm, threshold=upper_bound_matrix(mat, 3, 3).min())
+    cands = find_candidates(CoarseBounds(mat, 3, 3), threshold=upper_bound_matrix(mat, 3, 3).min())
     assert len(cands) == 1 and (cands.a[0], cands.b[0]) == (3, 5)
 
 
@@ -86,7 +85,7 @@ def test_find_candidates_in_start_order(rng):
     mat = np.abs(rng.normal(size=(20, 18)))
     bm = compute_bounds(mat, 4, 3)
     threshold = upper_bound_matrix(mat, 4, 3).min()
-    cands = find_candidates(bm, threshold=threshold)
+    cands = find_candidates(CoarseBounds(mat, 4, 3), threshold=threshold)
     starts = list(zip(cands.a.tolist(), cands.b.tolist()))
     assert all(p < q for p, q in zip(starts, starts[1:]))  # strictly increasing (a, b)
     ii, jj = np.nonzero(bm.min_path <= prune_limit(threshold))
@@ -103,27 +102,27 @@ def test_find_candidates_equal_the_whole_grid_scan(rng, scale):
     mat = rng.uniform(5.0, 6.0, size=(60, 70)) * scale
     mat[10:20, 20:30] = rng.uniform(0.0, 1.0, size=(10, 10)) * scale
     mat[35:45, 50:60] = rng.uniform(0.0, 1.0, size=(10, 10)) * scale
-    bm = compute_bounds(mat, 8, 6)
-    lower, values = bm.min_path, np.unique(bm.min_path)
+    lower = compute_bounds(mat, 8, 6).min_path
+    values = np.unique(lower)
     thresholds = [
         values[0] / 2,  # below every entry
         values[0],  # exactly the smallest entry
         values[3],  # exactly an entry
         (values[40] + values[41]) / 2,  # between entries
-        np.sort(bm.row_min)[12],  # exactly a row's minimum, with rows of both runs
+        np.sort(np.array(lower).min(axis=1))[12],  # exactly a row's minimum, with rows of both runs
         np.median(values),
         np.inf,
     ]
     runs = []
     for threshold in thresholds:
-        cands = find_candidates(bm, threshold=threshold)
+        cands = find_candidates(CoarseBounds(mat, 8, 6), threshold=threshold)
         a, b, lbs = whole_grid_candidates(lower, prune_limit(threshold))
         assert cands.a.tobytes() == a.tobytes() and cands.b.tobytes() == b.tobytes()
         assert cands.lower_bounds.tobytes() == lbs.tobytes()
         live = np.unique(a)
         runs.append(int(np.count_nonzero(np.diff(live) > 1)) + 1 if live.size else 0)
     assert runs[0] == 0 and max(runs) > 1 and runs[-1] == 1
-    assert len(find_candidates(bm, threshold=np.inf)) == lower.size
+    assert len(find_candidates(CoarseBounds(mat, 8, 6), threshold=np.inf)) == lower.size
 
 
 @pytest.mark.parametrize("count", [1, 16, 40, 53])
@@ -131,9 +130,9 @@ def test_seed_at_one_per_row_equals_the_argmin_scan(rng, count):
     # 53 rows of placements: fewer seeds than rows, and exactly one per row.
     # Rounded costs tie many row minima, so the choice among ties must match too.
     for mat in (rng.uniform(size=(60, 70)), np.round(rng.uniform(0, 2, size=(60, 70)))):
-        bm = compute_bounds(mat, 8, 6)
-        assert bm.shape[0] == 53
-        assert search._seed(bm, count).tobytes() == argmin_seed(bm.min_path, count).tobytes()
+        lower = compute_bounds(mat, 8, 6).min_path
+        assert lower.shape[0] == 53
+        assert search._seed(CoarseBounds(mat, 8, 6), count).tobytes() == argmin_seed(lower, count).tobytes()
 
 
 def test_exclusion_rounds_filter_only_when_the_threshold_rises(rng, monkeypatch):
@@ -163,9 +162,8 @@ def test_exclusion_rounds_filter_only_when_the_threshold_rises(rng, monkeypatch)
 
 def test_find_optimal_solutions_worked_example():
     m = distance_matrix(U3, W2)
-    bm = compute_bounds(m, 2, 2)
     # Both placements are seeds, so the filter runs at the larger lower bound.
-    cands = find_candidates(bm, threshold=bm.min_path.max())
+    cands = find_candidates(CoarseBounds(m, 2, 2), threshold=compute_bounds(m, 2, 2).min_path.max())
     res = infer_most_similar(U3, W2, WindowPair(2, 2))
     assert res.solutions == frozenset({(1, 1)})
     assert res.shortest_dist == 1.0
@@ -267,9 +265,8 @@ def test_early_exit_soundness(rng):
     for _ in range(8):
         u, w = random_pair(rng, 40, 35, dims=2)
         m = distance_matrix(u, w)
-        bm = compute_bounds(m, 6, 5)
-        lower = bm.min_path
-        seed = search._seed(bm, search._SEED_MIN)
+        lower = compute_bounds(m, 6, 5).min_path
+        seed = search._seed(CoarseBounds(m, 6, 5), search._SEED_MIN)
         first = dtw_batch(m, 6, 5, seed // lower.shape[1], seed % lower.shape[1])[0].min()
         threshold = max(first, lower.ravel()[seed].max())
         admitted = set(seed.tolist()) | set(np.flatnonzero(lower <= prune_limit(first)).tolist())
@@ -452,7 +449,7 @@ def test_search_builds_no_upper_bound(rng, monkeypatch):
     monkeypatch.setattr(bounds, "upper_bound_matrix", refuse)
     u, w = twin_motif_pair(rng)
     wp = WindowPair(20, 16)
-    assert compute_bounds(distance_matrix(u, w), 20, 16).max_path.size == 0
+    assert not hasattr(BoundMatrices, "max_path")
     for radius in (None, 3):
         opts = SearchOptions(band_radius=radius)
         sp, bf = infer_most_similar(u, w, wp, opts), brute_force_search(u, w, wp, opts)
@@ -562,9 +559,8 @@ def test_seeded_optimum_evaluates_only_what_its_bound_admits(seed):
     u, w = twin_motif_pair(np.random.default_rng(seed))
     m = distance_matrix(u, w)
     sp = infer_most_similar(u, w, WindowPair(20, 16))
-    bm = compute_bounds(m, 20, 16)
-    lower = bm.min_path
-    seeds = search._seed(bm, search._SEED_MIN)
+    lower = compute_bounds(m, 20, 16).min_path
+    seeds = search._seed(CoarseBounds(m, 20, 16), search._SEED_MIN)
     first = dtw_batch(m, 20, 16, seeds // lower.shape[1], seeds % lower.shape[1])[0].min()
     assert (first == sp.shortest_dist) == (seed in (1, 10))
     least, most = (np.union1d(seeds, np.flatnonzero(lower <= prune_limit(x))).size for x in (sp.shortest_dist, first))
