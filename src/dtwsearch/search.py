@@ -148,23 +148,27 @@ def find_candidates(cb: CoarseBounds, *, threshold: float) -> Candidates:
     scanned, each over the column blocks from its first such entry to its
     last.
     """
-    limit = prune_limit(threshold)
-    a, b, lower = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    limit, scans = prune_limit(threshold), []
     for block in np.flatnonzero(cb.block_min <= limit).tolist():
         r0, r1 = cb.rows(block)
         live = np.flatnonzero((cb.coarse[r0:r1] <= limit).any(axis=0))
         c0, c1 = int(live[0]) * COARSE, min((int(live[-1]) + 1) * COARSE, cb.shape[1])
         cb.refine(block, c0, c1)
         grid = cb.block(block)[:, c0:c1]
-        hit = np.flatnonzero(grid <= limit)  # row-major: ascending (a, b)
-        lower.append(grid.take(hit))
-        i, j = np.divmod(hit, c1 - c0, out=(hit, np.empty_like(hit)))  # i reuses hit's memory
-        i += r0 + 1
-        j += c0 + 1
-        a.append(i)
-        b.append(j)
-    # Joined only when more than one block held candidates: each copy faults in fresh pages.
-    a, b, lower = (np.concatenate(x[1:]) if len(x) > 2 else x[-1] for x in (a, b, lower))
+        keep = grid <= limit
+        scans.append((r0, c0, grid, keep, int(np.count_nonzero(keep))))
+    # Written in place: pieces joined afterwards would hold every candidate twice at once.
+    total = sum(scan[-1] for scan in scans)
+    a, b, lower = np.empty(total, dtype=np.int64), np.empty(total, dtype=np.int64), np.empty(total)
+    end = 0
+    for r0, c0, grid, keep, count in scans:
+        at = slice(end, end + count)
+        end += count
+        hit = np.flatnonzero(keep)  # row-major: ascending (a, b)
+        grid.take(hit, out=lower[at])
+        np.divmod(hit, grid.shape[1], out=(a[at], b[at]))
+        a[at] += r0 + 1
+        b[at] += c0 + 1
     return Candidates(a=a, b=b, lower_bounds=lower)
 
 
