@@ -1,6 +1,7 @@
 /* The package's compiled library: windowed DTW at many placements, LANES
  * of them in lockstep, and the search's grids (the distance matrix, the
- * min-pool and the window sums of the bound grids).
+ * span minima of the coarse bound, the min-pool and the window sums of
+ * the bound grids).
  *
  * _native.py compiles this file on first use; dtw.py, metrics.py and
  * bounds.py call it through ctypes, after checking every index, shape and
@@ -281,7 +282,7 @@ static inline double least(const double *x, int64_t n, double acc)
 }
 
 /* out[i, j] += sum(g[i + t, j + step * t] for t < length) for the rows x
- * cols out and g, read through row strides of ostride and gstride doubles; step
+ * cols out, out and g read through row strides of ostride and gstride doubles; step
  * 0 sums down a column, step 1 along a diagonal. In blocks of length rows
  * (van Herk; Gil & Werman), the window from block row r is the suffix sum
  * of its block's rows r .. length - 1 plus the prefix sum of the next

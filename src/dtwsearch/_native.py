@@ -1,24 +1,25 @@
 """The package's compiled library, ``_kernel.c``, and the memory of the grids it fills.
 
 The library holds the DTW kernel (``dtw.dtw_batch``) and the grid routines
-behind ``metrics.distance_matrix``, ``bounds.min_pool`` and the bound
-grids' window sums. It is compiled with ``cc`` on first use, not at
-import, and cached in this package's ``__pycache__`` under a hash of its
-source and flags; a missing or failing compiler raises
-``KernelCompileError``. Where that directory cannot be written (a
-read-only install), it is cached in ``$XDG_CACHE_HOME/dtwsearch`` (else
-``~/.cache/dtwsearch``), and failing that built into a private temporary
-directory.
+behind ``metrics.distance_matrix``, ``bounds.min_pool``, the coarse
+bound's span minima and the bound grids' window sums. It is compiled
+with ``cc`` on first use, not at import, and cached in this package's
+``__pycache__`` under a hash of its source and flags; a missing or
+failing compiler raises ``KernelCompileError``. Where that directory
+cannot be written (a read-only install), it is cached in
+``$XDG_CACHE_HOME/dtwsearch`` (else ``~/.cache/dtwsearch``), and failing
+that built into a private temporary directory.
 
 ``grid`` hands out the memory of every grid-sized float64 array: the
-distance matrix, the min-pool, lower- and upper-bound grids and the
-brute-force table. A search that follows another reuses its blocks
-instead of faulting in and zeroing fresh pages, as the UCR suite
-allocates its buffers once for a whole scan (Rakthanmanon et al., KDD
-2012). A block is handed out again only after every array on it has been
-collected. The pool is one free list, emptied whenever no free block fits
-a grid, so it keeps the blocks that were out at once since the last such
-miss.
+distance matrix and its minima of 8 columns, the min-pool, the coarse
+grids, the lower-bound grids (whole, or one per row block refined), the
+upper-bound grid and the brute-force table. A search that follows
+another reuses its blocks instead of faulting in and zeroing fresh
+pages, as the UCR suite allocates its buffers once for a whole scan
+(Rakthanmanon et al., KDD 2012). A block is handed out again only after
+every array on it has been collected. The pool is one free list, emptied
+whenever no free block fits a grid, so it keeps the blocks that were out
+at once since the last such miss.
 
 ``split`` runs one compiled call over contiguous parts of its rows or
 placements, one part per CPU the process may use (its affinity, so

@@ -2,28 +2,33 @@
 
 The lower bound sums, for each row the longer window passes through, the
 minimum pointwise distance within the shorter window's column span; it
-never exceeds the windowed DTW at its placement. The search builds only
-the min-pool and this grid (compute_bounds) and takes its thresholds from
-exact DTW, so a placement whose lower bound exceeds the k-th best
-distance found is skipped. The upper bound is the cost of one valid
-warping path inside the band (upper_bound_path), so it never undercuts
-the DTW under that band; the paper prunes by its minimum. The search no
-longer builds it: it is what ``--dump-bounds`` writes and what the
-sandwich tests check.
+never exceeds the windowed DTW at its placement. The upper bound is the
+cost of one valid warping path inside the band (upper_bound_path), so it
+never undercuts the DTW under that band; the paper prunes by its
+minimum. The search builds neither whole grid: compute_bounds (the
+min-pool and the whole lower-bound grid) and upper_bound_matrix are what
+``--dump-bounds`` writes and what the tests compare with.
 
-Both grids sum their windows with one routine (_add_window_sums), not by
+The search builds its bounds coarse-to-fine (CoarseBounds), as the UCR
+suite puts a cheap bound in front of a costly one (Rakthanmanon et al.,
+KDD 2012). The coarse bound takes, for each row and each block of COARSE
+placement columns, the minimum over every distance column a window
+starting in the block reaches, and sums these over omega_u rows. Each of
+its terms is at most the exact bound's term, and the sums run in the same
+blocks and order, so it is at most every exact bound of its block,
+exactly in floating point. The search refines only the row blocks of
+omega_u placement rows whose coarse bound the threshold admits: their
+min-pool rows and their exact lower bounds, bitwise the whole grid's.
+
+Every grid sums its windows with one routine (_add_window_sums), not by
 rescanning omega cells per entry: O(nm) per straight segment of a path,
-plus O(nm) for the lower bound's min-pool grid. That is what makes
-pruning cheaper than the search it replaces. The min-pool and the window
-sums run in the compiled library (``_kernel.c``) and make no grid-sized
-temporary; each output grid's memory comes from ``_native.grid``, which
-reuses an earlier search's. Both split their rows over the CPUs the
-process may use (``_native.split``), each entry computed as in one call.
-
-The same pass that writes the lower-bound grid keeps each row's minimum
-(``BoundMatrices.row_min``), folded in while the row is still in cache.
-The search's seed and filter read these minima instead of sweeping the
-grid: a row whose minimum exceeds the threshold holds no candidate.
+plus O(nm) for the lower bound's min-pool grid. The min-pool, the span
+minima and the window sums run in the compiled library (``_kernel.c``)
+and make no grid-sized temporary; each grid's memory comes from
+``_native.grid``, which reuses an earlier search's. They split their work
+over the CPUs the process may use (``_native.split``), each entry
+computed as in one call. The same pass that writes a lower-bound grid
+can keep each row's minimum, folded in while the row is still in cache.
 """
 from __future__ import annotations
 

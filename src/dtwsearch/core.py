@@ -206,15 +206,19 @@ class SearchStats:
     optimum, or the rank-1 match of top-k) divided by its DTW: near 1 the
     prune can keep few placements, near 0 it keeps most (1.0 when both are
     0, and 0.0 for brute force, which has no bounds). peak_grid_bytes is
-    the size of the three grids a search holds: the distance matrix, the
-    min-pool and the lower-bound grid (for brute force, the distance
-    matrix plus its table of every distance).
+    the size of the grids a search holds: the distance matrix with its
+    minima of 8 columns, the min-pool (whose rows are built only where
+    needed), the coarse grids and the exact lower bounds of the row blocks
+    refined (for brute force, the distance matrix plus its table of every
+    distance).
 
     The stage timings split runtime_ms: normalize_ms (validation, z-score
     and the orientation swap), distance_ms (the pointwise distance matrix),
-    bounds_ms (the min-pool and the lower-bound grid), candidates_ms (the
-    filter, and an exclusion round's threshold) and evaluate_ms (the
-    seed's choice and its exact DTW, then exact DTW and ranking). A stage an entry point does not run stays 0.0.
+    bounds_ms (the span minima and the coarse lower bound), candidates_ms
+    (the filter with the row blocks it refines, and an exclusion round's
+    threshold) and evaluate_ms (the seed's choice with the row blocks it
+    refines, and its exact DTW, then exact DTW and ranking). A stage an
+    entry point does not run stays 0.0.
 
     The field order is the order of the result JSON's stats and of the
     bench CSV's columns.

@@ -203,7 +203,8 @@ def dtw_batch(m, omega_u: int, omega_w: int, a0, b0, *, radius: int | None = Non
     comes back +inf. The bound and the distance add the same costs in
     different orders, so they round apart: the caller pads the threshold
     with ``prune_limit``, and then every distance at or below the unpadded
-    threshold comes back exact.
+    threshold comes back exact. Only pool rows a0 + 1 .. a0 + omega_u - 1
+    of each placement are read, at its column b0.
 
     The placements run in contiguous parts, one per CPU, whose boundaries
     are multiples of the lane count, under the one threshold of the call:

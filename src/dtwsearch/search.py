@@ -1,9 +1,10 @@
 """Pruned top-k search for the most similar subsequence pairs, and brute force.
 
-The pruned search builds the lower-bound grid only. It first runs exact
-DTW on a seed, max(16, 4k) placements with small lower bounds taken a few
-from each row, as the UCR suite seeds its best-so-far (Rakthanmanon et
-al., KDD 2012). The filter keeps every placement whose lower bound does
+The pruned search builds a coarse lower bound at every placement and the
+exact one only in the row blocks a threshold admits (bounds.CoarseBounds).
+It first runs exact DTW on a seed, max(16, 4k) placements with small
+lower bounds taken a few from each row, as the UCR suite seeds its
+best-so-far (Rakthanmanon et al., KDD 2012). The filter keeps every placement whose lower bound does
 not exceed the larger of the seed's k-th distance and its largest lower
 bound, so every seed is a candidate. The walk then takes the other
 candidates once in start order and skips each whose lower bound exceeds
