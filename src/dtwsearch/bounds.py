@@ -242,8 +242,8 @@ class CoarseBounds:
     not been refined holds arbitrary values.
 
     Building it makes the coarse grid only. Given a ``DistanceMatrix`` from
-    ``distance_matrix(..., group_min=True)``, its span minima read the
-    minima of 8 columns instead of every entry.
+    ``distance_matrix``, its span minima read the matrix's minima of 8
+    columns (``group_min``) instead of every entry.
     """
 
     def __init__(self, m, omega_u: int, omega_w: int):

@@ -19,9 +19,9 @@ class DistanceMatrix:
     buffer the caller may still write is copied, a read-only view of a
     writeable array included.
 
-    ``group_min`` is None unless ``distance_matrix`` was asked for it: then
-    group_min[i, g] is the minimum of entries[i, 8g : 8g + 8], from the same
-    pass. The search's coarse bound reads it.
+    ``group_min[i, g]`` is the minimum of entries[i, 8g : 8g + 8], kept by
+    ``distance_matrix`` in the same pass (None for a grid given here). The
+    search's coarse bound reads it.
     """
 
     entries: np.ndarray
@@ -44,26 +44,26 @@ def _entries(m) -> np.ndarray:
     return np.asarray(m, dtype=np.float64)
 
 
-def distance_matrix(u: TimeSeries, w: TimeSeries, *, group_min: bool = False) -> DistanceMatrix:
+def distance_matrix(u: TimeSeries, w: TimeSeries) -> DistanceMatrix:
     """entries[i, j] = dist(u_i, w_j): squares summed in dimension order from 0.0, then one root.
 
     Rows are independent, so ``_native.split`` builds them in parts, one
-    per CPU; each entry is the same at any thread count. With ``group_min``
-    the same pass keeps the minimum of each row's groups of 8 columns
+    per CPU; each entry is the same at any thread count. The same pass
+    keeps the minimum of each row's groups of 8 columns
     (``DistanceMatrix.group_min``).
     """
     if u.dims != w.dims:
         raise DimensionMismatch(f"series dims differ: {u.dims} vs {w.dims}")
     rows, cols = np.ascontiguousarray(u.values), np.ascontiguousarray(w.values.T)
     entries = grid((u.length, w.length), writeable=False)
-    least = grid((u.length, -(-w.length // 8)), writeable=False) if group_min else None
+    least = grid((u.length, -(-w.length // 8)), writeable=False)
     lib = _kernel()[0]
 
     def part(start, stop):
         lib.distance_rows(
             rows.ctypes.data + start * rows.strides[0], stop - start, cols.ctypes.data, w.length, u.dims,
             entries.ctypes.data + start * entries.strides[0],
-            None if least is None else least.ctypes.data + start * least.strides[0],
+            least.ctypes.data + start * least.strides[0],
         )
 
     split(part, u.length, cost=w.length * u.dims)

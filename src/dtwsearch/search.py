@@ -280,11 +280,11 @@ def _spread(ranked: np.ndarray, a: np.ndarray, b: np.ndarray, shape, exclusion: 
     return np.array(picked, dtype=np.int64)
 
 
-def _start(u: TimeSeries, w: TimeSeries, wp: WindowPair, opts: SearchOptions, group_min: bool = False):
+def _start(u: TimeSeries, w: TimeSeries, wp: WindowPair, opts: SearchOptions):
     """Every search's prologue: validate, normalize, swap so that wu >= ww, distance matrix.
 
     Returns (clock, m, wu, ww, swapped), with the clock charged for the
-    normalize and distance stages; ``group_min`` is passed to ``distance_matrix``.
+    normalize and distance stages.
     """
     clock = _Stages()
     validate_query(u, w, wp)
@@ -296,7 +296,7 @@ def _start(u: TimeSeries, w: TimeSeries, wp: WindowPair, opts: SearchOptions, gr
     if swapped:
         u, w, wu, ww = w, u, ww, wu
     clock.lap("normalize_ms")
-    m = distance_matrix(u, w, group_min=group_min)
+    m = distance_matrix(u, w)
     clock.lap("distance_ms")
     return clock, m, wu, ww, swapped
 
@@ -342,7 +342,7 @@ class _Ranking:
 
 def _rank(u: TimeSeries, w: TimeSeries, wp: WindowPair, k: int, opts: SearchOptions) -> _Ranking:
     """The pruned search: the k best placements (fewer if fewer exist), ranked and spread by exclusion."""
-    clock, m, wu, ww, swapped = _start(u, w, wp, opts, group_min=True)
+    clock, m, wu, ww, swapped = _start(u, w, wp, opts)
     cb = CoarseBounds(m, wu, ww)
     clock.lap("bounds_ms")
     total, cols = cb.size, cb.shape[1]
@@ -451,7 +451,7 @@ def brute_force_search(
         pairs_after_prune=total,
         dtw_evaluations=total,
         dp_cells=total * window_cells(wu, ww, opts.band_radius),
-        peak_grid_bytes=m.entries.nbytes + table.nbytes,
+        peak_grid_bytes=m.entries.nbytes + m.group_min.nbytes + table.nbytes,
         **clock.fields(),
     )
     return _result(wp, opts, solutions, shortest, swapped, stats)

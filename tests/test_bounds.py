@@ -344,7 +344,7 @@ def test_coarse_bound_from_the_distance_pass_minima_is_the_same(parts, rng):
     for n, m, wu, ww in COARSE_SHAPES:
         for dims in (1, 3):
             u, w = TimeSeries(values=rng.normal(size=(n, dims))), TimeSeries(values=rng.normal(size=(m, dims)))
-            dm = distance_matrix(u, w, group_min=True)
+            dm = distance_matrix(u, w)
             assert CoarseBounds(dm, wu, ww).coarse.tobytes() == CoarseBounds(dm.entries, wu, ww).coarse.tobytes()
 
 

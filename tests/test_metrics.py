@@ -103,13 +103,13 @@ def test_distance_matrix_keeps_the_minimum_of_every_8_columns(parts, dims):
     rng = np.random.default_rng(dims)
     for n, m in ((1, 1), (3, 7), (17, 8), (40, 301), (9, 64)):
         uv, wv = rng.normal(size=(n, dims)), rng.normal(size=(m, dims))
-        dm = distance_matrix(TimeSeries(values=uv), TimeSeries(values=wv), group_min=True)
+        dm = distance_matrix(TimeSeries(values=uv), TimeSeries(values=wv))
         assert dm.entries.tobytes() == blocked_distance_matrix(uv, wv).tobytes()
         padded = np.full((n, -(-m // 8) * 8), np.inf)
         padded[:, :m] = dm.entries
         assert dm.group_min.tobytes() == padded.reshape(n, -1, 8).min(axis=2).tobytes()
         assert not dm.group_min.flags.writeable
-    assert distance_matrix(TimeSeries(values=uv), TimeSeries(values=wv)).group_min is None
+    assert DistanceMatrix(entries=dm.entries).group_min is None
 
 
 def test_distance_matrix_copies_a_borrowed_grid():
