@@ -305,8 +305,8 @@ static inline double least(const double *x, int64_t n, double acc)
  * Unless rowmin is NULL, rowmin[i] becomes the minimum of row i of out,
  * each strip of the row folded in while it is still in cache. A minimum
  * rounds nothing, so it equals numpy's out.min(axis=1) bitwise. */
-void window_sums(double *out, int64_t rows, int64_t cols, int64_t ostride, const double *g, int64_t gstride, int64_t length,
-                 int64_t step, int64_t fresh, int64_t strip, double *work, double *rowmin)
+void window_sums(double *out, int64_t rows, int64_t cols, int64_t ostride, const double *g, int64_t gstride,
+                 int64_t length, int64_t step, int64_t fresh, int64_t strip, double *work, double *rowmin)
 {
     double *d = work, *e = work + strip; /* D_r of the strip; E_0 .. E_{length-2}, a row each */
     for (int64_t lo = 0; lo < rows; lo += length) {

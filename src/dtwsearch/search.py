@@ -1,21 +1,21 @@
 """Pruned top-k search for the most similar subsequence pairs, and brute force.
 
 The pruned search builds a coarse lower bound at every placement and the
-exact one only in the row blocks a threshold admits (bounds.CoarseBounds).
-It first runs exact DTW on a seed, max(16, 4k) placements with small
-lower bounds taken a few from each row, as the UCR suite seeds its
-best-so-far (Rakthanmanon et al., KDD 2012). The filter keeps every placement whose lower bound does
-not exceed the larger of the seed's k-th distance and its largest lower
-bound, so every seed is a candidate. The walk then takes the other
-candidates once in start order and skips each whose lower bound exceeds
-the threshold, the k-th best distance found. The threshold never falls
-below the final k-th distance and the lower bound never overshoots the
-true distance, so every placement among the k best is evaluated exactly
-and the ranking provably equals the brute-force one. The single optimum
-is the case k=1: its tie set is every evaluated placement within the tie
-tolerance of the smallest distance, again equal to brute force's. (The
-paper prunes by the minimum of an upper-bound grid instead; the answers
-are the same.)
+exact one only in the row blocks a threshold admits
+(bounds.CoarseBounds). It first runs exact DTW on a seed, max(16, 4k)
+placements with small lower bounds taken a few from each row, as the UCR
+suite seeds its best-so-far (Rakthanmanon et al., KDD 2012). The filter
+keeps every placement whose lower bound does not exceed the larger of
+the seed's k-th distance and its largest lower bound, so every seed is a
+candidate. The walk then takes the other candidates once in start order
+and skips each whose lower bound exceeds the threshold, the k-th best
+distance found. The threshold never falls below the final k-th distance
+and the lower bound never overshoots the true distance, so every
+placement among the k best is evaluated exactly and the ranking provably
+equals the brute-force one. The single optimum is the case k=1: its tie
+set is every evaluated placement within the tie tolerance of the
+smallest distance, again equal to brute force's. (The paper prunes by
+the minimum of an upper-bound grid instead; the answers are the same.)
 
 The walk feeds the batch kernel fixed chunks, each in start order, and
 lowers the threshold after each. The kernel skips a DP cell when, for
@@ -181,7 +181,7 @@ def _seed(cb: CoarseBounds, count: int) -> np.ndarray:
     its first smallest column. Row blocks are refined in the order of their
     coarse minima until the count-th smallest row minimum found is below
     the next block's coarse minimum, which bounds every row not yet
-    refined. Otherwise every block is refined. Every seed's row block is
+    refined. At q > 1 every block is refined. Every seed's row block is
     refined over every column.
     """
     rows, cols = cb.shape
@@ -198,8 +198,8 @@ def _seed(cb: CoarseBounds, count: int) -> np.ndarray:
                 break
         row = np.sort(np.argsort(cb.row_min, kind="stable")[:count])
         block = row // cb.omega_u
-        col = np.concatenate([cb.block(x)[row[block == x] - x * cb.omega_u].argmin(axis=1) for x in np.unique(block).tolist()])
-        return row * cols + col
+        col = [cb.block(x)[row[block == x] - x * cb.omega_u].argmin(axis=1) for x in np.unique(block).tolist()]
+        return row * cols + np.concatenate(col)
     # A few rows at a time, so that no index array of a whole block is made.
     step = max(1, _CHUNK // cols)
     col, lower = [], []

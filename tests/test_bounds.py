@@ -318,7 +318,10 @@ def test_row_minima_equal_the_grid_row_minima_at_any_split(parts, rng, scale):
 # (n, m, omega_u, omega_w): omega_u dividing the placement rows or not, one
 # row block or many; column counts below, at and past a multiple of 32
 # placement columns; omega_w below, at and above 32, and the whole width.
-COARSE_SHAPES = [(203, 150, 40, 30), (97, 61, 17, 5), (9, 40, 8, 8), (120, 160, 40, 33), (100, 95, 70, 64), (60, 700, 13, 9), (31, 33, 1, 1), (90, 44, 50, 44)]
+COARSE_SHAPES = [
+    (203, 150, 40, 30), (97, 61, 17, 5), (9, 40, 8, 8), (120, 160, 40, 33),
+    (100, 95, 70, 64), (60, 700, 13, 9), (31, 33, 1, 1), (90, 44, 50, 44),
+]
 
 
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])

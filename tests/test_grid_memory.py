@@ -142,7 +142,7 @@ def test_writes_into_dropped_grids_do_not_change_the_next_search():
 
 
 def banded_searches_on_poisoned_grids():
-    """A banded search whose grids all lie on nan-poisoned memory, and the same search with every row block refined first.
+    """A banded search on grids of nan-poisoned memory, and the same search with every row block refined first.
 
     Returns each one's answer and counters, brute force's answer, whether
     the first search's min-pool and refined blocks' grids were poisoned, and
@@ -175,10 +175,9 @@ def banded_searches_on_poisoned_grids():
     bf = brute_force_search(u, w, wp, opts)
     cb = made[0]
     refined = int(np.count_nonzero(cb._span[:, 1] > cb._span[:, 0]))
-    return (
-        runs, [bf.shortest_dist, sorted(bf.solutions)], {g.ctypes.data for g in (cb.min_pool, *cb._refined())} <= poisoned,
-        [refined, len(cb._span), int(cb._built.sum()), cb._built.size],
-    )
+    on_poison = {g.ctypes.data for g in (cb.min_pool, *cb._refined())} <= poisoned
+    built = [refined, len(cb._span), int(cb._built.sum()), cb._built.size]
+    return runs, [bf.shortest_dist, sorted(bf.solutions)], on_poison, built
 
 
 def test_a_banded_search_reads_only_the_pool_rows_it_built():

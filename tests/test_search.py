@@ -66,7 +66,8 @@ def test_find_candidates_worked_example():
 
 
 def test_find_candidates_all_zero_keeps_everything():
-    cands = find_candidates(CoarseBounds(np.zeros((6, 5)), 3, 2), threshold=upper_bound_matrix(np.zeros((6, 5)), 3, 2).min())
+    zeros = np.zeros((6, 5))
+    cands = find_candidates(CoarseBounds(zeros, 3, 2), threshold=upper_bound_matrix(zeros, 3, 2).min())
     assert len(cands) == (6 - 3 + 1) * (5 - 2 + 1)
     lbs = cands.lower_bounds
     assert np.all(lbs == 0.0)
