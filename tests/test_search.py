@@ -136,6 +136,27 @@ def test_seed_at_one_per_row_equals_the_argmin_scan(rng, count):
         assert search._seed(CoarseBounds(mat, 8, 6), count).tobytes() == argmin_seed(lower, count).tobytes()
 
 
+def test_seed_refines_a_block_whose_coarse_minimum_ties_its_last_seed():
+    # Windows (2, 1): row blocks {0, 1} and {2, 3}. Block 1's coarse minimum
+    # (0) is below block 0's (2), so it is refined first; its best row, 2,
+    # has minimum 2, which ties block 0's coarse minimum. Row 0 also has
+    # minimum 2 and, as the lower row, is the seed: block 0 must be refined
+    # before the seed is chosen.
+    mat = np.array([[0.0, 9.0], [2.0, 9.0], [2.0, 0.0], [0.0, 2.0], [9.0, 9.0]])
+    cb = CoarseBounds(mat, 2, 1)
+    assert cb.block_min.tolist() == [2.0, 0.0]
+    lower = compute_bounds(mat, 2, 1).min_path
+    assert np.array(lower).min(axis=1).tolist() == [2.0, 4.0, 2.0, 9.0]
+    assert search._seed(cb, 1).tolist() == argmin_seed(lower, 1).tolist() == [0]
+    # One row per block (omega_u = 1), and row minima that tie in runs: the
+    # lowest rows of the tied ones are the seeds.
+    minima = np.array([2, 1, 1, 0, 0, 0, 0, 0, 0, 2, 1, 2, 1, 1, 2, 2, 1, 1, 1, 2], dtype=float)
+    mat = np.stack([minima + 1, minima], axis=1)
+    for count in (2, 7, 12):
+        expected = argmin_seed(compute_bounds(mat, 1, 1).min_path, count)
+        assert search._seed(CoarseBounds(mat, 1, 1), count).tobytes() == expected.tobytes()
+
+
 def test_exclusion_rounds_filter_only_when_the_threshold_rises(rng, monkeypatch):
     # The first round's threshold, the larger lower bound of the seed, lies
     # above the next rounds' kk-th smallest lower bound, so those rounds keep
