@@ -113,9 +113,10 @@ def _add_window_sums(out: np.ndarray, g: np.ndarray, length: int, step: int, fre
     each entry is written as 0.0 plus its sum, as if out were zeros. A
     ``row_min`` array, one float64 per row of out, receives each row's minimum.
 
-    The rows run in parts, one per CPU, whose boundaries are multiples of
-    ``length``: the blocks start where they start in one call, so every
-    entry sums the same terms in the same order.
+    The columns run in parts, one per CPU: a column's sums read no other
+    column of out, so every entry sums the same terms in the same order as
+    in one call, and a single block of rows is split too. Each part keeps
+    its own row minima; their minimum is the row's.
     """
     rows, cols = out.shape
     width = cols + step * (length - 1)
@@ -132,15 +133,17 @@ def _add_window_sums(out: np.ndarray, g: np.ndarray, length: int, step: int, fre
     lib = _kernel()[0]
 
     def part(start, stop):
-        work = np.empty((length + 1) * _STRIP)
+        work, least = np.empty((length + 1) * _STRIP), None if row_min is None else np.empty(rows)
         lib.window_sums(
-            out.ctypes.data + start * out.strides[0], stop - start, cols, out.strides[0] // out.itemsize,
-            g.ctypes.data + start * g.strides[0], g.strides[0] // g.itemsize, length, step, fresh, _STRIP,
-            work.ctypes.data,
-            None if row_min is None else row_min.ctypes.data + start * row_min.itemsize,
+            out.ctypes.data + start * out.itemsize, rows, stop - start, out.strides[0] // out.itemsize,
+            g.ctypes.data + start * g.itemsize, g.strides[0] // g.itemsize, length, step, fresh, _STRIP,
+            work.ctypes.data, None if least is None else least.ctypes.data,
         )
+        return least
 
-    split(part, rows, unit=length, cost=cols)
+    least = split(part, cols, cost=rows)
+    if row_min is not None:
+        np.minimum.reduce(least, axis=0, out=row_min)
 
 
 def lower_bound_matrix(pool: np.ndarray, omega_u: int, row_min: np.ndarray | None = None) -> np.ndarray:
@@ -231,19 +234,15 @@ class CoarseBounds:
     """The search's lower bounds: coarse at every placement, exact in the row blocks refined.
 
     coarse[a, c] is at most the exact lower bound (``lower_bound_matrix``)
-    of every placement (a, b) with b // COARSE == c, bitwise, and
-    coarse_min[a] is the minimum of its row. A row block is the omega_u
-    placement rows from block * omega_u. ``refine`` computes a block's
-    exact lower bounds over a span of columns into a grid of its own
-    (``block``), bitwise those of ``lower_bound_matrix`` there. ``min_pool``
-    then holds the pool rows its sums read, which are every row the DTW
-    kernel reads for its placements. A block refined over every column also
-    has its rows' minima in ``row_min`` (+inf in the other rows). What has
-    not been refined holds arbitrary values.
-
-    Building it makes the coarse grid only. Given a ``DistanceMatrix`` from
-    ``distance_matrix``, its span minima read the matrix's minima of 8
-    columns (``group_min``) instead of every entry.
+    of every placement (a, b) with b // COARSE == c, and coarse_min[a] is
+    the minimum of its row. A row block is the omega_u placement rows from
+    block * omega_u. ``refine`` computes a block's exact lower bounds over
+    a span of columns into a grid of its own (``block``), and the rows of
+    ``min_pool`` its sums read, which are every row the DTW kernel reads
+    for its placements. A block refined over every column has its rows'
+    minima in ``row_min`` (+inf elsewhere). What is not refined holds
+    arbitrary values. The span minima read a ``DistanceMatrix``'s minima of
+    8 columns (``group_min``), where it has them, instead of every entry.
     """
 
     def __init__(self, m, omega_u: int, omega_w: int):
@@ -279,10 +278,7 @@ class CoarseBounds:
     @property
     def nbytes(self) -> int:
         """The bytes of every grid it holds: the min-pool, the coarse grids and the refined blocks'."""
-        return sum(g.nbytes for g in (self.min_pool, self._spans, self.coarse, *self._refined()))
-
-    def _refined(self) -> list:
-        return [g for g in self._lower if g is not None]
+        return sum(g.nbytes for g in (self.min_pool, self._spans, self.coarse, *self._lower) if g is not None)
 
     def rows(self, block: int) -> tuple:
         """The placement rows [start, stop) of a row block."""
@@ -315,9 +311,7 @@ class CoarseBounds:
     def _build_pool(self, start: int, stop: int):
         """Build the pool rows start .. stop - 1 not built yet, in one run from the first of them to the last.
 
-        For one row block's rows that run holds no row built before: a
-        neighbouring block builds only the rows next to it. A row built
-        again gets the same values.
+        Within one row block's rows, no built row lies between two unbuilt ones.
         """
         todo = np.flatnonzero(~self._built[start:stop])
         if todo.size:

@@ -124,7 +124,7 @@ def search_after_poisoned_grids(seed, n, m, wu, ww):
 
     def spy(*args, **kwargs):
         cb = build(*args, **kwargs)
-        used.update(g.ctypes.data for g in (cb.min_pool, *cb._refined()))
+        used.update(g.ctypes.data for g in (cb.min_pool, *cb._lower) if g is not None)
         return cb
 
     search.CoarseBounds = spy
@@ -175,7 +175,7 @@ def banded_searches_on_poisoned_grids():
     bf = brute_force_search(u, w, wp, opts)
     cb = made[0]
     refined = int(np.count_nonzero(cb._span[:, 1] > cb._span[:, 0]))
-    on_poison = {g.ctypes.data for g in (cb.min_pool, *cb._refined())} <= poisoned
+    on_poison = {g.ctypes.data for g in (cb.min_pool, *cb._lower) if g is not None} <= poisoned
     built = [refined, len(cb._span), int(cb._built.sum()), cb._built.size]
     return runs, [bf.shortest_dist, sorted(bf.solutions)], on_poison, built
 
