@@ -236,10 +236,10 @@ class CoarseBounds:
     coarse[a, c] is at most the exact lower bound (``lower_bound_matrix``)
     of every placement (a, b) with b // COARSE == c, and coarse_min[a] is
     the minimum of its row. A row block is the omega_u placement rows from
-    block * omega_u. ``refine`` computes a block's exact lower bounds over
-    a span of columns into a grid of its own (``block``), and the rows of
-    ``min_pool`` its sums read, which are every row the DTW kernel reads
-    for its placements. A block refined over every column has its rows'
+    block * omega_u. ``refine`` computes row blocks' exact lower bounds over
+    spans of columns, each block's into a grid of its own (``block``), and
+    the rows of ``min_pool`` their sums read, which are every row the DTW
+    kernel reads for their placements. A block refined over every column has its rows'
     minima in ``row_min`` (+inf elsewhere). What is not refined holds
     arbitrary values. The span minima read a ``DistanceMatrix``'s minima of
     8 columns (``group_min``), where it has them, instead of every entry.
@@ -289,40 +289,40 @@ class CoarseBounds:
         r0, r1 = self.rows(block)
         return self._lower[block][: r1 - r0]
 
-    def refine(self, block: int, start: int = 0, stop: int | None = None):
-        """Make the exact lower bounds of a row block over columns [start, stop) at least (every column by default)."""
-        stop = self.shape[1] if stop is None else stop
-        have = self._span[block].tolist()
-        if have[0] <= start and stop <= have[1]:
-            return
-        if have[0] < have[1]:
-            start, stop = min(start, have[0]), max(stop, have[1])
-        else:  # every block's grid has the same shape, so that the memory of one search serves the next
-            self._lower[block] = grid((self.omega_u, self.shape[1]), writeable=False)
-        r0, r1 = self.rows(block)
-        self._build_pool(r0, r1 + self.omega_u - 1)  # the rows the sums read
-        whole = start == 0 and stop == self.shape[1]
-        _add_window_sums(
-            self.block(block)[:, start:stop], self.min_pool[r0:, start:stop], self.omega_u, 0, True,
-            self.row_min[r0:r1] if whole else None,
-        )
-        self._span[block] = start, stop
+    def refine(self, spans: dict):
+        """Make the exact lower bounds of each row block in spans over its columns [start, stop) at least.
 
-    def _build_pool(self, start: int, stop: int):
-        """Build the pool rows start .. stop - 1 not built yet, in one run from the first of them to the last.
-
-        Within one row block's rows, no built row lies between two unbuilt ones.
+        The pool rows that the blocks' sums read and that are not built yet
+        are built together, in runs of consecutive rows.
         """
-        todo = np.flatnonzero(~self._built[start:stop])
-        if todo.size:
-            _pool_rows(self._arr, self.min_pool, self.omega_w, start + int(todo[0]), start + int(todo[-1]) + 1)
-            self._built[start:stop] = True
+        todo, need = [], np.zeros(len(self._built) + 2, dtype=bool)  # need[1 + i]: build pool row i
+        for block, (start, stop) in spans.items():
+            have = self._span[block].tolist()
+            if have[0] <= start and stop <= have[1]:
+                continue
+            if have[0] < have[1]:
+                start, stop = min(start, have[0]), max(stop, have[1])
+            else:  # every block's grid has the same shape, so that the memory of one search serves the next
+                self._lower[block] = grid((self.omega_u, self.shape[1]), writeable=False)
+            r0, r1 = self.rows(block)
+            need[1 + r0 : r1 + self.omega_u] = True
+            todo.append((block, start, stop))
+        need[1:-1] &= ~self._built
+        for lo, hi in np.flatnonzero(need[1:] != need[:-1]).reshape(-1, 2).tolist():  # [lo, hi) per run
+            _pool_rows(self._arr, self.min_pool, self.omega_w, lo, hi)
+        self._built |= need[1:-1]
+        for block, start, stop in todo:
+            r0, r1 = self.rows(block)
+            whole = start == 0 and stop == self.shape[1]
+            _add_window_sums(
+                self.block(block)[:, start:stop], self.min_pool[r0:, start:stop], self.omega_u, 0, True,
+                self.row_min[r0:r1] if whole else None,
+            )
+            self._span[block] = start, stop
 
     def refine_all(self) -> list:
         """Refine every row block over every column; returns each block's grid (``block``), in order."""
-        self._build_pool(0, len(self._built))  # in one call, split over the CPUs
-        for block in range(len(self._span)):
-            self.refine(block)
+        self.refine({block: (0, self.shape[1]) for block in range(len(self._span))})
         return [self.block(block) for block in range(len(self._span))]
 
     def lower_at(self, flat: np.ndarray) -> np.ndarray:

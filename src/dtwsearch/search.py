@@ -149,15 +149,16 @@ def find_candidates(cb: CoarseBounds, *, threshold: float) -> Candidates:
     scanned, each over the column blocks from its first such entry to its
     last.
     """
-    limit, scans = prune_limit(threshold), []
+    limit, spans, scans = prune_limit(threshold), {}, []
     for block in np.flatnonzero(cb.block_min <= limit).tolist():
         r0, r1 = cb.rows(block)
         live = np.flatnonzero((cb.coarse[r0:r1] <= limit).any(axis=0))
-        c0, c1 = int(live[0]) * COARSE, min((int(live[-1]) + 1) * COARSE, cb.shape[1])
-        cb.refine(block, c0, c1)
+        spans[block] = int(live[0]) * COARSE, min((int(live[-1]) + 1) * COARSE, cb.shape[1])
+    cb.refine(spans)
+    for block, (c0, c1) in spans.items():
         grid = cb.block(block)[:, c0:c1]
         keep = grid <= limit
-        scans.append((r0, c0, grid, keep, int(np.count_nonzero(keep))))
+        scans.append((cb.rows(block)[0], c0, grid, keep, int(np.count_nonzero(keep))))
     # Written in place: pieces joined afterwards would hold every candidate twice at once.
     total = sum(scan[-1] for scan in scans)
     a, b, lower = np.empty(total, dtype=np.int64), np.empty(total, dtype=np.int64), np.empty(total)
@@ -192,7 +193,7 @@ def _seed(cb: CoarseBounds, count: int) -> np.ndarray:
     if q == 1:
         order = np.argsort(cb.block_min, kind="stable").tolist()
         for i, block in enumerate(order):
-            cb.refine(block)
+            cb.refine({block: (0, cols)})
             following = cb.block_min[order[i + 1]] if i + 1 < len(order) else np.inf
             if np.partition(cb.row_min, count - 1)[count - 1] < following:
                 break

@@ -352,9 +352,9 @@ def test_coarse_bound_from_the_distance_pass_minima_is_the_same(parts, rng):
 
 
 def test_refined_row_blocks_equal_the_lower_bound_grid_bitwise(parts, rng):
-    # Blocks refined in a shuffled order, over spans that grow, so that a
-    # block's pool rows are partly built by its neighbours and a span is
-    # widened by a later call. The last block of rows may be short.
+    # Blocks refined one at a time in a shuffled order, over spans that
+    # grow, so that a block's pool rows are partly built by its neighbours
+    # and a span is widened by a later call. The last block may be short.
     for n, m, wu, ww in COARSE_SHAPES:
         mat = rng.uniform(size=(n, m)) * 1e3
         bm = compute_bounds(mat, wu, ww)
@@ -365,10 +365,15 @@ def test_refined_row_blocks_equal_the_lower_bound_grid_bitwise(parts, rng):
             c0 = int(rng.integers(0, cols))
             c1 = int(rng.integers(c0 + 1, cols + 1))
             for start, stop in ((c0, c1), (max(0, c0 - 3), c1), (0, cols)):
-                cb.refine(block, start, stop)
+                cb.refine({block: (start, stop)})
                 assert cb.block(block)[:, start:stop].tobytes() == bm.min_path[r0:r1, start:stop].tobytes()
             assert cb.min_pool[r0 : r1 + wu - 1].tobytes() == bm.min_pool[r0 : r1 + wu - 1].tobytes()
             assert cb.row_min[r0:r1].tobytes() == np.array(bm.min_path[r0:r1]).min(axis=1).tobytes()
+        assert np.concatenate(cb.refine_all()).tobytes() == bm.min_path.tobytes()
+        assert cb.min_pool.tobytes() == bm.min_pool.tobytes()
+        # Every other block in one call, then the rest: the pool rows are built in runs.
+        cb = CoarseBounds(mat, wu, ww)
+        cb.refine({block: (0, cols) for block in range(0, len(cb.block_min), 2)})
         assert np.concatenate(cb.refine_all()).tobytes() == bm.min_path.tobytes()
         assert cb.min_pool.tobytes() == bm.min_pool.tobytes()
 
