@@ -221,7 +221,7 @@ def compute_bounds(m, omega_u: int, omega_w: int) -> BoundMatrices:
     """Build the min-pool and the whole lower-bound grid for one search instance.
 
     The lower bound holds under any band, since a band only removes paths.
-    The search builds its bounds by row blocks instead (coarse_bounds);
+    The search builds its bounds by row blocks instead (CoarseBounds);
     this is what ``--dump-bounds`` writes and what the tests compare with.
     """
     arr = _entries(m)
@@ -239,10 +239,11 @@ class CoarseBounds:
     block * omega_u. ``refine`` computes row blocks' exact lower bounds over
     spans of columns, each block's into a grid of its own (``block``), and
     the rows of ``min_pool`` their sums read, which are every row the DTW
-    kernel reads for their placements. A block refined over every column has its rows'
-    minima in ``row_min`` (+inf elsewhere). What is not refined holds
-    arbitrary values. The span minima read a ``DistanceMatrix``'s minima of
-    8 columns (``group_min``), where it has them, instead of every entry.
+    kernel reads for their placements. A block refined over every column has
+    its rows' minima in ``row_min`` (+inf elsewhere). What is not refined
+    holds arbitrary values. The span minima read a ``DistanceMatrix``'s
+    minima of 8 columns (``group_min``), where it has them, instead of every
+    entry.
     """
 
     def __init__(self, m, omega_u: int, omega_w: int):
