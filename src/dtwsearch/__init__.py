@@ -27,15 +27,7 @@ from .core import (
     validate_query,
 )
 from .metrics import DistanceMatrix, distance_matrix, z_normalize
-from .bounds import (
-    BoundMatrices,
-    CoarseBounds,
-    compute_bounds,
-    lower_bound_matrix,
-    min_pool,
-    upper_bound_matrix,
-    upper_bound_path,
-)
+from .bounds import CoarseBounds, min_pool, upper_bound_matrix, upper_bound_path
 from .dtw import (
     band_column_ranges,
     default_band_radius,

@@ -1,7 +1,7 @@
 /* The package's compiled library: windowed DTW at many placements, LANES
  * of them in lockstep, and the search's grids (the distance matrix, the
- * span minima of the coarse bound, the min-pool and the window sums of
- * the bound grids).
+ * span minima of the coarse bound, the min-pool and the lower bound's
+ * window sums).
  *
  * _native.py compiles this file on first use; dtw.py, metrics.py and
  * bounds.py call it through ctypes, after checking every index, shape and
@@ -162,9 +162,9 @@ int64_t dtw_lockstep(const double *m, int64_t cols, int64_t omega_u, int64_t ome
  * dimension order from 0.0, then one square root, as numpy does it one
  * operation at a time. One sweep: 8 columns at a time, their sums held in
  * registers. Build with -ffp-contract=off, so that no target fuses
- * d * d + acc into one rounding. Unless groupmin is NULL,
- * groupmin[i * ceil(m / 8) + g] becomes the minimum of out[i, 8g .. 8g + 7]
- * (of the columns there are, in a last short group). */
+ * d * d + acc into one rounding. groupmin[i * ceil(m / 8) + g] becomes the
+ * minimum of out[i, 8g .. 8g + 7] (of the columns there are, in a last
+ * short group). */
 void distance_rows(const double *u, int64_t n, const double *wt, int64_t m, int64_t dims, double *out,
                    double *groupmin)
 {
@@ -172,7 +172,7 @@ void distance_rows(const double *u, int64_t n, const double *wt, int64_t m, int6
     for (int64_t i = 0; i < n; i++) {
         const double *x = u + i * dims;
         double *restrict row = out + i * m;
-        double *g = groupmin ? groupmin + i * groups : NULL;
+        double *g = groupmin + i * groups;
         int64_t j = 0;
         for (; j + 8 <= m; j += 8) {
             double acc[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
@@ -185,12 +185,10 @@ void distance_rows(const double *u, int64_t n, const double *wt, int64_t m, int6
             }
             for (int l = 0; l < 8; l++)
                 row[j + l] = sqrt(acc[l]);
-            if (g) {
-                double v = row[j];
-                for (int l = 1; l < 8; l++)
-                    v = min2(v, row[j + l]);
-                g[j / 8] = v;
-            }
+            double v = row[j];
+            for (int l = 1; l < 8; l++)
+                v = min2(v, row[j + l]);
+            g[j / 8] = v;
         }
         for (double v = INFINITY; j < m; j++) {
             double acc = 0.0;
@@ -200,7 +198,7 @@ void distance_rows(const double *u, int64_t n, const double *wt, int64_t m, int6
             }
             row[j] = sqrt(acc);
             v = min2(v, row[j]);
-            if (g && j == m - 1)
+            if (j == m - 1)
                 g[j / 8] = v;
         }
     }
@@ -281,32 +279,27 @@ static inline double least(const double *x, int64_t n, double acc)
     return lane[0];
 }
 
-/* out[i, j] += sum(g[i + t, j + step * t] for t < length) for the rows x
- * cols out, out and g read through row strides of ostride and gstride doubles; step
- * 0 sums down a column, step 1 along a diagonal. In blocks of length rows
- * (van Herk; Gil & Werman), the window from block row r is the suffix sum
- * of its block's rows r .. length - 1 plus the prefix sum of the next
- * block's first r rows, and each entry becomes (out + suffix) + prefix, as
- * numpy adds them one grid at a time. Sums run in the skewed frame: with
- * k = j - step * r for the entry (lo + r, j),
+/* out[i, j] = sum(g[i + t, j] for t < length) for the rows x cols out,
+ * out and g read through row strides of ostride and gstride doubles. In
+ * blocks of length rows (van Herk; Gil & Werman), the window from block row
+ * r is the suffix sum of its block's rows r .. length - 1 plus the prefix
+ * sum of the next block's first r rows, and each entry becomes
+ * (0.0 + suffix) + prefix, as numpy adds them to a grid of zeros:
  *
- *   D_{length-1}(k) = g[lo + length - 1, k + step * (length - 1)],
- *   D_r(k) = g[lo + r, k + step * r] + D_{r+1}(k)                  (suffix),
- *   E_0(k) = g[lo + length, k + step * length],
- *   E_s(k) = E_{s-1}(k) + g[lo + length + s, k + step * (length + s)]  (prefix),
+ *   D_{length-1}(j) = g[lo + length - 1, j],
+ *   D_r(j) = g[lo + r, j] + D_{r+1}(j)                  (suffix),
+ *   E_0(j) = g[lo + length, j],
+ *   E_s(j) = E_{s-1}(j) + g[lo + length + s, j]         (prefix),
  *
- * and out[lo + r, j] = (out + D_r(k)) + E_{r-1}(k); each recursion keeps
- * its column, so strips of `strip` values of k cover the block with no work
- * repeated, whatever the step and length. No sum has more than length
- * terms, so its rounding scales with the window, not the series. With
- * fresh set, out holds nothing yet and 0.0 stands for it. work holds
- * (length + 1) * strip doubles.
+ * and out[lo + r, j] = (0.0 + D_r(j)) + E_{r-1}(j), in strips of `strip`
+ * columns. No sum has more than length terms, so its rounding scales with
+ * the window, not the series. work holds (length + 1) * strip doubles.
  *
  * Unless rowmin is NULL, rowmin[i] becomes the minimum of row i of out,
  * each strip of the row folded in while it is still in cache. A minimum
  * rounds nothing, so it equals numpy's out.min(axis=1) bitwise. */
 void window_sums(double *out, int64_t rows, int64_t cols, int64_t ostride, const double *g, int64_t gstride,
-                 int64_t length, int64_t step, int64_t fresh, int64_t strip, double *work, double *rowmin)
+                 int64_t length, int64_t strip, double *work, double *rowmin)
 {
     double *d = work, *e = work + strip; /* D_r of the strip; E_0 .. E_{length-2}, a row each */
     for (int64_t lo = 0; lo < rows; lo += length) {
@@ -315,47 +308,41 @@ void window_sums(double *out, int64_t rows, int64_t cols, int64_t ostride, const
         if (rowmin)
             for (int64_t r = 0; r < n; r++)
                 rowmin[lo + r] = INFINITY;
-        for (int64_t k0 = -(n - 1) * step; k0 < cols; k0 += strip) {
+        for (int64_t k0 = 0; k0 < cols; k0 += strip) {
             const int64_t w = cols - k0 < strip ? cols - k0 : strip;
-            /* E_s at k0 + t, for the t whose entry of row lo + s + 1 is a column of out. */
             for (int64_t s = 0; s + 1 < n; s++) {
-                const int64_t hi = cols - k0 - step * (s + 1) < w ? cols - k0 - step * (s + 1) : w;
-                const double *restrict gs = next + s * gstride + k0 + step * (length + s);
+                const double *restrict gs = next + s * gstride + k0;
                 double *restrict es = e + s * strip;
                 const double *restrict below = es - strip;
                 if (s == 0)
-                    for (int64_t t = 0; t < hi; t++)
+                    for (int64_t t = 0; t < w; t++)
                         es[t] = gs[t];
                 else
-                    for (int64_t t = 0; t < hi; t++)
+                    for (int64_t t = 0; t < w; t++)
                         es[t] = below[t] + gs[t];
             }
-            /* D_r from the block's last row up; a t whose column is left of
-             * g's first is left of it in every row above too. */
             for (int64_t r = length - 1; r >= 0; r--) {
-                const int64_t col = k0 + step * r, first = col < 0 ? -col : 0;
-                const double *restrict gr = block + r * gstride + col + first;
-                double *restrict dr = d + first;
+                const double *restrict gr = block + r * gstride + k0;
+                double *restrict dr = d;
                 if (r == length - 1)
-                    for (int64_t t = 0; t < w - first; t++)
+                    for (int64_t t = 0; t < w; t++)
                         dr[t] = gr[t];
                 else
-                    for (int64_t t = 0; t < w - first; t++)
+                    for (int64_t t = 0; t < w; t++)
                         dr[t] = gr[t] + dr[t];
                 if (r >= n)
                     continue;
-                const int64_t end = cols - col < w ? cols - col : w;
-                double *restrict o = out + (lo + r) * ostride + col + first;
+                double *restrict o = out + (lo + r) * ostride + k0;
                 if (r == 0)
-                    for (int64_t t = 0; t < end - first; t++)
-                        o[t] = (fresh ? 0.0 : o[t]) + dr[t];
+                    for (int64_t t = 0; t < w; t++)
+                        o[t] = 0.0 + dr[t];
                 else {
-                    const double *restrict er = e + (r - 1) * strip + first;
-                    for (int64_t t = 0; t < end - first; t++)
-                        o[t] = ((fresh ? 0.0 : o[t]) + dr[t]) + er[t];
+                    const double *restrict er = e + (r - 1) * strip;
+                    for (int64_t t = 0; t < w; t++)
+                        o[t] = (0.0 + dr[t]) + er[t];
                 }
                 if (rowmin)
-                    rowmin[lo + r] = least(o, end - first, rowmin[lo + r]);
+                    rowmin[lo + r] = least(o, w, rowmin[lo + r]);
             }
         }
     }

@@ -2,7 +2,7 @@
 
 The library holds the DTW kernel (``dtw.dtw_batch``) and the grid routines
 behind ``metrics.distance_matrix``, ``bounds.min_pool``, the coarse
-bound's span minima and the bound grids' window sums. It is compiled
+bound's span minima and the lower bound's window sums. It is compiled
 with ``cc`` on first use, not at import, and cached in this package's
 ``__pycache__`` under a hash of its source and flags; a missing or
 failing compiler raises ``KernelCompileError``. Where that directory
@@ -12,14 +12,15 @@ that built into a private temporary directory.
 
 ``grid`` hands out the memory of every grid-sized float64 array: the
 distance matrix and its minima of 8 columns, the min-pool, the coarse
-grids, the lower-bound grids (whole, or one per row block refined), the
-upper-bound grid and the brute-force table. A search that follows
-another reuses its blocks instead of faulting in and zeroing fresh
-pages, as the UCR suite allocates its buffers once for a whole scan
-(Rakthanmanon et al., KDD 2012). A block is handed out again only after
-every array on it has been collected. The pool is one free list, emptied
-whenever no free block fits a grid, so it keeps the blocks that were out
-at once since the last such miss.
+grids, the lower-bound grids (one per row block, whether the search
+refines it or ``--dump-bounds`` refines them all), the upper-bound grid
+and the brute-force table. A search that follows another reuses its
+blocks instead of faulting in and zeroing fresh pages, as the UCR suite
+allocates its buffers once for a whole scan (Rakthanmanon et al., KDD
+2012). A block is handed out again only after every array on it has been
+collected. The pool is one free list, emptied whenever no free block
+fits a grid, so it keeps the blocks that were out at once since the last
+such miss.
 
 ``split`` runs one compiled call over contiguous parts of its rows or
 placements, one part per CPU the process may use (its affinity, so
@@ -71,7 +72,7 @@ _SIGNATURES = {
     "distance_rows": (None, [_PTR, _I64, _PTR, _I64, _I64, _PTR, _PTR]),
     "span_minima": (None, [_PTR, _PTR, _I64, _I64, _I64, _I64, _PTR]),
     "min_pool_rows": (None, [_PTR, _I64, _I64, _I64, _PTR, _PTR]),
-    "window_sums": (None, [_PTR, _I64, _I64, _I64, _PTR, _I64, _I64, _I64, _I64, _I64, _PTR, _PTR]),
+    "window_sums": (None, [_PTR, _I64, _I64, _I64, _PTR, _I64, _I64, _I64, _PTR, _PTR]),
 }
 
 

@@ -32,7 +32,7 @@ from .core import (
     TimeSeries,
     WindowPair,
 )
-from .bounds import compute_bounds, upper_bound_matrix
+from .bounds import CoarseBounds, upper_bound_matrix
 from .dtw import default_band_radius
 from .evaluation import lead_difference, score_intervals
 from .search import (
@@ -133,7 +133,7 @@ def run_search(args: argparse.Namespace) -> int:
 
 def _dump_bounds(u, w, wp, args: argparse.Namespace, prefix):
     _, m, wu, ww, swapped = _start(u, w, wp, _search_options(args))  # the search's own prologue
-    grids = (compute_bounds(m, wu, ww).min_path, upper_bound_matrix(m, wu, ww, args.band))
+    grids = (np.concatenate(CoarseBounds(m, wu, ww).refine_all()), upper_bound_matrix(m, wu, ww, args.band))
     note = "series were swapped (omega_b > omega_a): rows index --b, cols index --a" if swapped else "rows index --a, cols index --b"
     for name, grid in zip(("minpath", "maxpath"), grids):
         _write_grid_csv(
@@ -357,9 +357,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Flags naming files the command reads, and files it writes.
+# Flags naming files the command reads, and files it writes (--dump-bounds: their shared prefix).
 _INPUT_FLAGS = ("a", "b", "pred", "gt", "dir")
-_OUTPUT_FLAGS = ("out", "out_a", "out_b", "out_gt")
+_OUTPUT_FLAGS = ("out", "out_a", "out_b", "out_gt", "dump_bounds")
 
 
 def _check_paths(args: argparse.Namespace):

@@ -74,49 +74,34 @@ def doubling_min_pool(m, omega_w):
     return np.minimum(rows[:, :keep], rows[:, omega_w - width :])
 
 
-def block_window_sums(out, g, length, step):
+def block_window_sums(out, g, length):
     """The numpy window sums the compiled ones must equal bitwise.
 
-    out[i, j] += sum(g[i + t, j + step*t] for t < length). In blocks of
-    `length` rows, the window from row r is the suffix running sum of its
-    block from r plus the prefix running sum of the next block's first r
-    rows (van Herk 1992; Gil & Werman 1993): out = (out + suffix) + prefix.
+    out[i, j] += sum(g[i + t, j] for t < length). In blocks of `length`
+    rows, the window from row r is the suffix running sum of its block from
+    r plus the prefix running sum of the next block's first r rows (van
+    Herk 1992; Gil & Werman 1993): out = (out + suffix) + prefix.
     """
     rows, cols = out.shape
-    width = cols + step * (length - 1)
-    suffix, prefix = np.zeros((2, length, width))
-    g_head, suf_head, suf_tail = g[:, : width - step], suffix[:, : width - step], suffix[:, step:]
-    g_tail, pre_head, pre_tail = g[:, step:width], prefix[:, : width - step], prefix[:, step:]
+    suffix, prefix = np.zeros((2, length, cols))
     for lo in range(0, rows, length):
         n, nxt = min(length, rows - lo), lo + length
-        suffix[-1] = g[nxt - 1, :width]
+        suffix[-1] = g[nxt - 1, :cols]
         for r in range(length - 2, -1, -1):
-            np.add(g_head[lo + r], suf_tail[r + 1], out=suf_head[r])
-        out[lo : lo + n] += suffix[:n, :cols]
+            np.add(g[lo + r, :cols], suffix[r + 1], out=suffix[r])
+        out[lo : lo + n] += suffix[:n]
         if n > 1:
-            prefix[0] = g[nxt, :width]
+            prefix[0] = g[nxt, :cols]
             for s in range(1, n - 1):
-                np.add(pre_head[s - 1], g_tail[nxt + s], out=pre_tail[s])
-            out[lo + 1 : lo + n] += prefix[: n - 1, width - cols :]
+                np.add(prefix[s - 1], g[nxt + s, :cols], out=prefix[s])
+            out[lo + 1 : lo + n] += prefix[: n - 1]
 
 
-def block_path_sums(g, path, shape):
-    """out[i, j] = sum of g[i + p, j + path[p]] over p, from zeros, by block_window_sums per straight segment.
-
-    A segment is a maximal run of rows entered by the same column step, the
-    first row by a step of 1, as upper_bound_matrix splits its path: this is
-    the numpy upper bound the compiled one must equal bitwise.
-    """
-    g = np.asarray(g, dtype=np.float64)
-    steps = [1] + [q - p for p, q in zip(path, path[1:])]
-    out = np.zeros(shape)
-    p = 0
-    while p < len(path):
-        end = p + 1
-        while end < len(path) and steps[end] == steps[p]:
-            end += 1
-        block_window_sums(out, g[p:, path[p] :], end - p, steps[p])
-        p = end
+def block_lower_bound(m, omega_u, omega_w):
+    """The numpy lower-bound grid the compiled one must equal bitwise: the min-pool's window sums, from zeros."""
+    pool = doubling_min_pool(m, omega_w)
+    out = np.zeros((pool.shape[0] - omega_u + 1, pool.shape[1]))
+    block_window_sums(out, pool, omega_u)
     return out
 
 
@@ -132,7 +117,7 @@ def coarse_lower_bound(m, omega_u, omega_w, width=32):
     starts = range(0, cols - omega_w + 1, width)
     spans = np.stack([m[:, s : min(s + width + omega_w - 1, cols)].min(axis=1) for s in starts], axis=1)
     out = np.zeros((n - omega_u + 1, spans.shape[1]))
-    block_window_sums(out, spans, omega_u, 0)
+    block_window_sums(out, spans, omega_u)
     return out
 
 

@@ -6,22 +6,20 @@ from dtwsearch import (
     TimeSeries,
     WindowOrderViolated,
     WindowTooLarge,
-    compute_bounds,
     distance_matrix,
     dtw_batch,
     dtw_matrix_full,
     dtw_windowed,
     find_candidates,
-    lower_bound_matrix,
     min_pool,
     upper_bound_matrix,
     upper_bound_path,
 )
-from dtwsearch.bounds import COARSE, _STRIP, _add_window_sums
+from dtwsearch.bounds import COARSE, _STRIP, _window_sums
 from oracles import (
-    block_path_sums,
-    coarse_lower_bound,
+    block_lower_bound,
     block_window_sums,
+    coarse_lower_bound,
     doubling_min_pool,
     fixed_upper_path,
     fsum_path_sums,
@@ -32,6 +30,11 @@ from oracles import (
 )
 
 WORKED = np.array([[0.0, 2.0], [1.0, 1.0], [3.0, 1.0]])
+
+
+def lower_bound(mat, wu, ww):
+    """The package's whole lower-bound grid: every row block of CoarseBounds refined, in order."""
+    return np.concatenate(CoarseBounds(mat, wu, ww).refine_all())
 
 
 def test_min_pool_worked_example():
@@ -66,14 +69,12 @@ def test_min_pool_rejects_oversized_window():
 
 
 def test_lower_bound_worked_example():
-    pool = min_pool(WORKED, 2)
-    assert lower_bound_matrix(pool, 2).ravel().tolist() == [1.0, 2.0]
+    assert lower_bound(WORKED, 2, 2).ravel().tolist() == [1.0, 2.0]
 
 
 def test_lower_bound_full_height_and_zero():
-    pool = min_pool(WORKED, 2)
-    assert lower_bound_matrix(pool, 3).ravel().tolist() == [2.0]
-    assert np.all(lower_bound_matrix(np.zeros((4, 2)), 2) == 0.0)
+    assert lower_bound(WORKED, 3, 2).ravel().tolist() == [2.0]
+    assert np.all(lower_bound(np.zeros((4, 2)), 2, 1) == 0.0)
 
 
 def test_upper_bound_worked_example():
@@ -83,7 +84,7 @@ def test_upper_bound_worked_example():
 def test_upper_bound_window_one_equals_lower_bound():
     m = np.abs(np.random.default_rng(0).normal(size=(7, 5)))
     up = upper_bound_matrix(m, 3, 1)
-    low = lower_bound_matrix(min_pool(m, 1), 3)
+    low = lower_bound(m, 3, 1)
     assert np.allclose(up, low, atol=1e-12)
 
 
@@ -108,7 +109,7 @@ def test_bounds_match_naive_oracles(rng):
         mat = np.abs(rng.normal(size=(n, m)))
         pool = min_pool(mat, ww)
         assert np.array_equal(pool, naive_min_pool(mat, ww))
-        assert np.allclose(lower_bound_matrix(pool, wu), naive_lower_bound(pool, wu), rtol=1e-9, atol=1e-9)
+        assert np.allclose(lower_bound(mat, wu, ww), naive_lower_bound(pool, wu), rtol=1e-9, atol=1e-9)
         assert np.allclose(upper_bound_matrix(mat, wu, ww), naive_upper_bound(mat, wu, ww), rtol=1e-9, atol=1e-9)
 
 
@@ -123,21 +124,21 @@ def test_sandwich_property(rng):
         if wu > n:
             continue
         mat = np.abs(rng.normal(size=(n, m)))
-        bm = compute_bounds(mat, wu, ww)
-        pa, pb = bm.min_path.shape
+        low = lower_bound(mat, wu, ww)
+        pa, pb = low.shape
         ii, jj = np.meshgrid(np.arange(pa), np.arange(pb), indexing="ij")
         exact = dtw_batch(mat, wu, ww, ii.ravel(), jj.ravel())[0].reshape(pa, pb)
-        assert np.all(bm.min_path <= exact * (1 + 1e-9) + 1e-9)
+        assert np.all(low <= exact * (1 + 1e-9) + 1e-9)
         assert np.all(exact <= upper_bound_matrix(mat, wu, ww) * (1 + 1e-9) + 1e-9)
 
 
 def test_window_one_collapses_bounds_to_exact(rng):
     mat = np.abs(rng.normal(size=(12, 9)))
     wu = 5
-    bm = compute_bounds(mat, wu, 1)
-    pa, pb = bm.min_path.shape
+    low = lower_bound(mat, wu, 1)
+    pa, pb = low.shape
     exact = np.array([[dtw_windowed(mat, wu, 1, (i + 1, j + 1)) for j in range(pb)] for i in range(pa)])
-    assert np.allclose(bm.min_path, exact, atol=1e-9)
+    assert np.allclose(low, exact, atol=1e-9)
     assert np.allclose(upper_bound_matrix(mat, wu, 1), exact, atol=1e-9)
 
 
@@ -222,15 +223,15 @@ def test_window_sums_are_accurate_to_the_window_at_any_magnitude(magnitude):
     # Tall grids: a difference of whole-series prefix sums would carry
     # rounding of order rows * magnitude into every window. 1607 rows leave
     # 1600 placement rows, a multiple of omega_u; 1601 leave 1594, which is
-    # not. The (8, 3) path runs in segments of 3 and 5 rows, unbanded and at
-    # radius 2, and of 2, 5 and 1 (one cell) at radius 1.
+    # not. The upper bound adds its (8, 3) path's 8 cells per entry, on the
+    # unbanded path and at radius 1 and 2.
     wu, ww = 8, 3
     tol = wu * np.finfo(np.float64).eps
     rng = np.random.default_rng(5)
     for n in (1607, 1601):
         mat = rng.uniform(0, magnitude, size=(n, 6))
         pool = min_pool(mat, ww)
-        low = lower_bound_matrix(pool, wu)
+        low = lower_bound(mat, wu, ww)
         checks = [(low, fsum_path_sums(pool, [0] * wu, low.shape))]
         for radius in (None, 1, 2):
             up = upper_bound_matrix(mat, wu, ww, radius=radius)
@@ -253,53 +254,48 @@ WINDOW_SUM_SHAPES = [
 
 
 @pytest.mark.parametrize("magnitude", [1.0, 1e3, 1e7])
-@pytest.mark.parametrize("step", [0, 1])
+@pytest.mark.parametrize("row_minima", [0, 1])
 @pytest.mark.parametrize("rows, cols, length", WINDOW_SUM_SHAPES)
-def test_window_sums_equal_the_numpy_blocks_bitwise(rows, cols, length, step, magnitude):
+def test_window_sums_equal_the_numpy_blocks_bitwise(rows, cols, length, row_minima, magnitude):
     # g is a view into a wider grid, so rows are read through a stride that
-    # is not the row's width; out is added to, and written fresh.
+    # is not the row's width; out holds nan before, so every entry must be
+    # written. Asked for, the row minima come from the same pass.
     rng = np.random.default_rng(rows * 1000 + cols + length)
-    width = cols + step * (length - 1)
-    grid = rng.uniform(0, magnitude, size=(rows + length + 2, width + 11))
-    g = grid[1:, 5 : 5 + width + 3]
-    before = rng.uniform(0, magnitude, size=(rows, cols))
-    for fresh in (False, True):
-        got = np.empty((rows, cols)) if fresh else before.copy()
-        expected = np.zeros((rows, cols)) if fresh else before.copy()
-        _add_window_sums(got, g, length, step, fresh)
-        block_window_sums(expected, g, length, step)
-        assert got.tobytes() == expected.tobytes()
+    grid = rng.uniform(0, magnitude, size=(rows + length + 2, cols + 11))
+    g = grid[1:, 5 : 5 + cols + 3]
+    got, expected = np.full((rows, cols), np.nan), np.zeros((rows, cols))
+    row_min = np.empty(rows) if row_minima else None
+    _window_sums(got, g, length, row_min)
+    block_window_sums(expected, g, length)
+    assert got.tobytes() == expected.tobytes()
+    if row_minima:
+        assert row_min.tobytes() == expected.min(axis=1).tobytes()
 
 
 @pytest.mark.parametrize("magnitude", [1.0, 1e4, 1e7])
 def test_bound_grids_equal_the_numpy_references_bitwise(rng, magnitude):
-    # Grids of 1 to 3 strips, every window shape from one cell up, banded or not.
+    # Grids of 1 to 3 strips, every window shape from one cell up.
     for _ in range(30):
         wu = int(rng.integers(1, 40))
         ww = int(rng.integers(1, wu + 1))
         n, m = wu + int(rng.integers(0, 50)), ww + int(rng.integers(0, 3 * _STRIP))
         mat = rng.uniform(0, magnitude, size=(n, m))
-        pool = min_pool(mat, ww)
-        assert pool.tobytes() == doubling_min_pool(mat, ww).tobytes()
-        low = np.zeros((n - wu + 1, pool.shape[1]))
-        block_window_sums(low, pool, wu, 0)
-        assert lower_bound_matrix(pool, wu).tobytes() == low.tobytes()
-        for radius in (None, 1, 2, 5):
-            path = upper_bound_path(wu, ww, radius).tolist()
-            expected = block_path_sums(mat, path, (n - wu + 1, m - ww + 1))
-            assert upper_bound_matrix(mat, wu, ww, radius).tobytes() == expected.tobytes()
+        assert min_pool(mat, ww).tobytes() == doubling_min_pool(mat, ww).tobytes()
+        cb = CoarseBounds(mat, wu, ww)
+        assert np.concatenate(cb.refine_all()).tobytes() == block_lower_bound(mat, wu, ww).tobytes()
+        assert cb.min_pool.tobytes() == doubling_min_pool(mat, ww).tobytes()
 
 
 def test_window_sums_refuse_grids_they_do_not_fit():
     g = np.zeros((10, 10))
     with pytest.raises(ValueError):
-        _add_window_sums(np.empty((4, 4)), g, 8, 0, True)  # needs 11 rows of g
+        _window_sums(np.empty((4, 4)), g, 8)  # needs 11 rows of g
     with pytest.raises(ValueError):
-        _add_window_sums(np.empty((4, 4)), g[:, :6], 4, 1, True)  # a diagonal of 4 needs 7 columns
+        _window_sums(np.empty((4, 4)), g[:, :3], 4)  # needs 4 columns of g
     with pytest.raises(ValueError):
-        _add_window_sums(np.empty((4, 4)), g[:, ::2], 4, 0, True)  # columns are not adjacent
+        _window_sums(np.empty((4, 4)), g[:, ::2], 4)  # columns are not adjacent
     with pytest.raises(ValueError):
-        _add_window_sums(np.empty((4, 4)), g, 4, 0, True, np.empty(3))  # a row minimum per row of out
+        _window_sums(np.empty((4, 4)), g, 4, np.empty(3))  # a row minimum per row of out
 
 
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
@@ -309,10 +305,14 @@ def test_row_minima_equal_the_grid_row_minima_at_any_split(parts, rng, scale):
     # of the window sums; and rounded costs, so that a row's minimum ties.
     for n, m, wu, ww in ((203, 150, 40, 30), (97, 61, 17, 5), (9, 9, 8, 3), (30, 40, 1, 1), (7, 80, 7, 7), (60, 700, 13, 9)):
         for mat in (np.abs(rng.normal(size=(n, m))) * scale, np.round(rng.uniform(0, 3, size=(n, m))) * scale):
-            lower = compute_bounds(mat, wu, ww).min_path
-            row_min = np.empty(n - wu + 1)
-            assert lower_bound_matrix(min_pool(mat, ww), wu, row_min).tobytes() == lower.tobytes()
-            assert row_min.tobytes() == np.array(lower).min(axis=1).tobytes()
+            lower = block_lower_bound(mat, wu, ww)
+            got, row_min = np.empty(lower.shape), np.empty(n - wu + 1)
+            _window_sums(got, min_pool(mat, ww), wu, row_min)
+            assert got.tobytes() == lower.tobytes()
+            assert row_min.tobytes() == lower.min(axis=1).tobytes()
+            cb = CoarseBounds(mat, wu, ww)
+            cb.refine_all()
+            assert cb.row_min.tobytes() == lower.min(axis=1).tobytes()
 
 
 # (n, m, omega_u, omega_w): omega_u dividing the placement rows or not, one
@@ -330,12 +330,12 @@ def test_coarse_bound_is_at_most_every_exact_bound_of_its_block(parts, rng, scal
     # and both sum in the same blocks and order, so rounding keeps the order.
     for n, m, wu, ww in COARSE_SHAPES:
         for mat in (rng.uniform(size=(n, m)) * scale, np.round(rng.uniform(0, 3, size=(n, m))) * scale):
-            lower = compute_bounds(mat, wu, ww).min_path
+            lower = block_lower_bound(mat, wu, ww)
             cb = CoarseBounds(mat, wu, ww)
             assert cb.coarse.tobytes() == coarse_lower_bound(mat, wu, ww, COARSE).tobytes()
             assert np.all(np.repeat(cb.coarse, COARSE, axis=1)[:, : lower.shape[1]] <= lower)
             assert cb.coarse_min.tobytes() == np.array(cb.coarse).min(axis=1).tobytes()
-            assert np.all(cb.coarse_min <= np.array(lower).min(axis=1))
+            assert np.all(cb.coarse_min <= lower.min(axis=1))
             for block in range(len(cb.block_min)):
                 r0, r1 = cb.rows(block)
                 assert cb.block_min[block] == cb.coarse_min[r0:r1].min()
@@ -357,25 +357,25 @@ def test_refined_row_blocks_equal_the_lower_bound_grid_bitwise(parts, rng):
     # and a span is widened by a later call. The last block may be short.
     for n, m, wu, ww in COARSE_SHAPES:
         mat = rng.uniform(size=(n, m)) * 1e3
-        bm = compute_bounds(mat, wu, ww)
+        lower, pool = block_lower_bound(mat, wu, ww), doubling_min_pool(mat, ww)
         cb = CoarseBounds(mat, wu, ww)
-        cols = bm.shape[1]
+        cols = lower.shape[1]
         for block in rng.permutation(len(cb.block_min)).tolist():
             r0, r1 = cb.rows(block)
             c0 = int(rng.integers(0, cols))
             c1 = int(rng.integers(c0 + 1, cols + 1))
             for start, stop in ((c0, c1), (max(0, c0 - 3), c1), (0, cols)):
                 cb.refine({block: (start, stop)})
-                assert cb.block(block)[:, start:stop].tobytes() == bm.min_path[r0:r1, start:stop].tobytes()
-            assert cb.min_pool[r0 : r1 + wu - 1].tobytes() == bm.min_pool[r0 : r1 + wu - 1].tobytes()
-            assert cb.row_min[r0:r1].tobytes() == np.array(bm.min_path[r0:r1]).min(axis=1).tobytes()
-        assert np.concatenate(cb.refine_all()).tobytes() == bm.min_path.tobytes()
-        assert cb.min_pool.tobytes() == bm.min_pool.tobytes()
+                assert cb.block(block)[:, start:stop].tobytes() == lower[r0:r1, start:stop].tobytes()
+            assert cb.min_pool[r0 : r1 + wu - 1].tobytes() == pool[r0 : r1 + wu - 1].tobytes()
+            assert cb.row_min[r0:r1].tobytes() == lower[r0:r1].min(axis=1).tobytes()
+        assert np.concatenate(cb.refine_all()).tobytes() == lower.tobytes()
+        assert cb.min_pool.tobytes() == pool.tobytes()
         # Every other block in one call, then the rest: the pool rows are built in runs.
         cb = CoarseBounds(mat, wu, ww)
         cb.refine({block: (0, cols) for block in range(0, len(cb.block_min), 2)})
-        assert np.concatenate(cb.refine_all()).tobytes() == bm.min_path.tobytes()
-        assert cb.min_pool.tobytes() == bm.min_pool.tobytes()
+        assert np.concatenate(cb.refine_all()).tobytes() == lower.tobytes()
+        assert cb.min_pool.tobytes() == pool.tobytes()
 
 
 def kept(mat, wu, ww):
@@ -390,8 +390,7 @@ def test_prune_predicate_worked_example():
 
 
 def test_prune_predicate_zero_matrix():
-    bm = compute_bounds(np.zeros((5, 4)), 2, 2)
-    pa, pb = bm.min_path.shape
+    pa, pb = CoarseBounds(np.zeros((5, 4)), 2, 2).shape
     assert kept(np.zeros((5, 4)), 2, 2) == {(i, j) for i in range(1, pa + 1) for j in range(1, pb + 1)}
 
 
@@ -404,8 +403,7 @@ def test_prune_soundness_against_brute_force(rng):
         if wu > n or ww > m:
             continue
         mat = np.abs(rng.normal(size=(n, m)))
-        bm = compute_bounds(mat, wu, ww)
-        pa, pb = bm.min_path.shape
+        pa, pb = CoarseBounds(mat, wu, ww).shape
         ii, jj = np.meshgrid(np.arange(pa), np.arange(pb), indexing="ij")
         exact = dtw_batch(mat, wu, ww, ii.ravel(), jj.ravel())[0].reshape(pa, pb)
         best = exact.min()

@@ -17,6 +17,8 @@ from dtwsearch import (
     upper_bound_matrix,
 )
 from dtwsearch.cli import emit_csv, ingest_csv, main
+from dtwsearch.core import prune_limit
+from oracles import block_lower_bound, blocked_distance_matrix
 
 
 def write(path, text):
@@ -122,6 +124,43 @@ def test_search_dump_bounds_banded(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["band_radius"] == 1
     assert doc["shortest_dist"] == pytest.approx(banded.min(), abs=1e-12)
+
+
+def test_search_dump_bounds_swapped(tmp_path):
+    # --wb > --wa: the search swaps the series, so the grids' rows index --b.
+    # Windows 6x3 on the swapped pair, with radius 1.
+    u = np.sin(np.arange(11.0) * 0.7)
+    w = np.cos(np.arange(14.0) * 0.4)
+    a = write(tmp_path / "u.csv", "\n".join(map(repr, u.tolist())) + "\n")
+    b = write(tmp_path / "w.csv", "\n".join(map(repr, w.tolist())) + "\n")
+    prefix = tmp_path / "bounds"
+    rc = main([
+        "search", "--a", a, "--b", b, "--wa", "3", "--wb", "6", "--band", "1",
+        "--out", str(tmp_path / "res.json"), "--dump-bounds", str(prefix),
+    ])
+    assert rc == 0
+    m = blocked_distance_matrix(w[:, None], u[:, None])
+    minpath = np.loadtxt(tmp_path / "bounds.minpath.csv", delimiter=",", comments="#")
+    maxpath = np.loadtxt(tmp_path / "bounds.maxpath.csv", delimiter=",", comments="#")
+    assert minpath.shape == maxpath.shape == (14 - 6 + 1, 11 - 3 + 1)
+    assert minpath.tobytes() == block_lower_bound(m, 6, 3).tobytes()
+    banded = dtw_matrix_full(m, 6, 3, radius=1)
+    assert np.all(minpath <= prune_limit(banded)) and np.all(banded <= prune_limit(maxpath))
+    for name in ("minpath", "maxpath"):
+        header = [ln for ln in (tmp_path / f"bounds.{name}.csv").read_text().splitlines() if ln.startswith("#")]
+        assert any("rows index --b" in ln for ln in header), header
+
+
+def test_search_dump_bounds_into_a_missing_directory_is_refused_before_the_search(tmp_path, capsys):
+    a, b = worked_example_files(tmp_path)
+    out = tmp_path / "res.json"
+    rc = main([
+        "search", "--a", a, "--b", b, "--wa", "2", "--wb", "2",
+        "--out", str(out), "--dump-bounds", str(tmp_path / "no_such_dir" / "bounds"),
+    ])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "InvalidSpec"
+    assert not out.exists()
 
 
 def test_topk_command(tmp_path):

@@ -24,13 +24,11 @@ from dtwsearch import (
     SimulationSpec,
     TimeSeries,
     WindowPair,
+    CoarseBounds,
     brute_force_search,
-    compute_bounds,
     distance_matrix,
     generate_pair,
     infer_most_similar,
-    lower_bound_matrix,
-    min_pool,
     top_k_search,
     upper_bound_matrix,
 )
@@ -49,7 +47,7 @@ def sha(arr) -> str:
 
 
 def fingerprint(seed, n, m, wu, ww, radius=None, k=None):
-    """One search's answer and counters, its three grids' and the upper bound's bytes, as JSON-ready values."""
+    """One search's answer and counters, the bytes of its distance matrix, min-pool and lower and upper bounds, as JSON-ready values."""
     u, w = pair(seed, n, m)
     wp, opts = WindowPair(wu, ww), SearchOptions(band_radius=radius)
     if k is None:
@@ -59,9 +57,10 @@ def fingerprint(seed, n, m, wu, ww, radius=None, k=None):
         r = top_k_search(u, w, wp, k, opts)
         answer = [[x.a, x.b, x.distance, x.rank] for x in r.matches]
     dm = distance_matrix(u, w) if wu >= ww else distance_matrix(w, u)
-    bm = compute_bounds(dm, max(wu, ww), min(wu, ww))
+    cb = CoarseBounds(dm, max(wu, ww), min(wu, ww))
+    lower = np.concatenate(cb.refine_all())
     up = upper_bound_matrix(dm, max(wu, ww), min(wu, ww), radius)
-    grids = [sha(g) for g in (dm.entries, bm.min_pool, bm.min_path, up)]
+    grids = [sha(g) for g in (dm.entries, cb.min_pool, lower, up)]
     return json.loads(json.dumps({"answer": answer, "counters": [getattr(r.stats, f) for f in COUNTERS], "grids": grids}))
 
 
@@ -88,15 +87,15 @@ def test_a_view_of_a_dropped_grid_keeps_its_bytes():
     views, saved = [], []
     for seed in range(1, 7):
         dm = distance_matrix(*pair(seed, 150, 140))
-        bm = compute_bounds(dm, 30, 20)
-        grids = (dm.entries, bm.min_pool, bm.min_path, upper_bound_matrix(dm, 30, 20))
+        cb = CoarseBounds(dm, 30, 20)
+        grids = (dm.entries, cb.min_pool, upper_bound_matrix(dm, 30, 20), *cb.refine_all())
         for view, before in zip(views, saved):
             assert view.tobytes() == before
             assert not any(np.shares_memory(view, g) for g in grids)
         if seed in (2, 3):  # grids on memory that the previous seed's gave back
-            views += [dm.entries[3:, 5:], bm.min_pool[:, 1:], grids[3][1:]]
-            saved += [v.tobytes() for v in views[-3:]]
-        del dm, bm, grids
+            views += [dm.entries[3:, 5:], cb.min_pool[:, 1:], grids[2][1:], grids[3][1:]]
+            saved += [v.tobytes() for v in views[-4:]]
+        del dm, cb, grids
 
 
 def poison_kept_blocks() -> set:

@@ -6,7 +6,6 @@ import pytest
 
 from dtwsearch import (
     STAGE_FIELDS,
-    BoundMatrices,
     CoarseBounds,
     InvalidSpec,
     RankedMatch,
@@ -15,7 +14,6 @@ from dtwsearch import (
     TimeSeries,
     WindowPair,
     brute_force_search,
-    compute_bounds,
     distance_matrix,
     dtw_batch,
     dtw_matrix_full,
@@ -31,7 +29,7 @@ from dtwsearch.core import prune_limit
 from dtwsearch.dtw import window_cells
 from dtwsearch import bounds, search
 from dtwsearch.search import Candidates, _evaluate
-from oracles import argmin_seed, naive_dtw, whole_grid_candidates
+from oracles import argmin_seed, block_lower_bound, naive_dtw, whole_grid_candidates
 
 U3 = TimeSeries(values=[0.0, 1.0, 3.0])
 W2 = TimeSeries(values=[0.0, 2.0])
@@ -84,14 +82,14 @@ def test_find_candidates_planted_zero_diagonal_leaves_one():
 
 def test_find_candidates_in_start_order(rng):
     mat = np.abs(rng.normal(size=(20, 18)))
-    bm = compute_bounds(mat, 4, 3)
+    lower = block_lower_bound(mat, 4, 3)
     threshold = upper_bound_matrix(mat, 4, 3).min()
     cands = find_candidates(CoarseBounds(mat, 4, 3), threshold=threshold)
     starts = list(zip(cands.a.tolist(), cands.b.tolist()))
     assert all(p < q for p, q in zip(starts, starts[1:]))  # strictly increasing (a, b)
-    ii, jj = np.nonzero(bm.min_path <= prune_limit(threshold))
+    ii, jj = np.nonzero(lower <= prune_limit(threshold))
     assert starts == sorted(zip((ii + 1).tolist(), (jj + 1).tolist()))
-    assert cands.lower_bounds.tolist() == [bm.min_path[a - 1, b - 1] for a, b in starts]
+    assert cands.lower_bounds.tolist() == [lower[a - 1, b - 1] for a, b in starts]
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e6])
@@ -103,7 +101,7 @@ def test_find_candidates_equal_the_whole_grid_scan(rng, scale):
     mat = rng.uniform(5.0, 6.0, size=(60, 70)) * scale
     mat[10:20, 20:30] = rng.uniform(0.0, 1.0, size=(10, 10)) * scale
     mat[35:45, 50:60] = rng.uniform(0.0, 1.0, size=(10, 10)) * scale
-    lower = compute_bounds(mat, 8, 6).min_path
+    lower = block_lower_bound(mat, 8, 6)
     values = np.unique(lower)
     thresholds = [
         values[0] / 2,  # below every entry
@@ -131,7 +129,7 @@ def test_seed_at_one_per_row_equals_the_argmin_scan(rng, count):
     # 53 rows of placements: fewer seeds than rows, and exactly one per row.
     # Rounded costs tie many row minima, so the choice among ties must match too.
     for mat in (rng.uniform(size=(60, 70)), np.round(rng.uniform(0, 2, size=(60, 70)))):
-        lower = compute_bounds(mat, 8, 6).min_path
+        lower = block_lower_bound(mat, 8, 6)
         assert lower.shape[0] == 53
         assert search._seed(CoarseBounds(mat, 8, 6), count).tobytes() == argmin_seed(lower, count).tobytes()
 
@@ -145,7 +143,7 @@ def test_seed_refines_a_block_whose_coarse_minimum_ties_its_last_seed():
     mat = np.array([[0.0, 9.0], [2.0, 9.0], [2.0, 0.0], [0.0, 2.0], [9.0, 9.0]])
     cb = CoarseBounds(mat, 2, 1)
     assert cb.block_min.tolist() == [2.0, 0.0]
-    lower = compute_bounds(mat, 2, 1).min_path
+    lower = block_lower_bound(mat, 2, 1)
     assert np.array(lower).min(axis=1).tolist() == [2.0, 4.0, 2.0, 9.0]
     assert search._seed(cb, 1).tolist() == argmin_seed(lower, 1).tolist() == [0]
     # One row per block (omega_u = 1), and row minima that tie in runs: the
@@ -153,7 +151,7 @@ def test_seed_refines_a_block_whose_coarse_minimum_ties_its_last_seed():
     minima = np.array([2, 1, 1, 0, 0, 0, 0, 0, 0, 2, 1, 2, 1, 1, 2, 2, 1, 1, 1, 2], dtype=float)
     mat = np.stack([minima + 1, minima], axis=1)
     for count in (2, 7, 12):
-        expected = argmin_seed(compute_bounds(mat, 1, 1).min_path, count)
+        expected = argmin_seed(block_lower_bound(mat, 1, 1), count)
         assert search._seed(CoarseBounds(mat, 1, 1), count).tobytes() == expected.tobytes()
 
 
@@ -185,7 +183,7 @@ def test_exclusion_rounds_filter_only_when_the_threshold_rises(rng, monkeypatch)
 def test_find_optimal_solutions_worked_example():
     m = distance_matrix(U3, W2)
     # Both placements are seeds, so the filter runs at the larger lower bound.
-    cands = find_candidates(CoarseBounds(m, 2, 2), threshold=compute_bounds(m, 2, 2).min_path.max())
+    cands = find_candidates(CoarseBounds(m, 2, 2), threshold=block_lower_bound(m.entries, 2, 2).max())
     res = infer_most_similar(U3, W2, WindowPair(2, 2))
     assert res.solutions == frozenset({(1, 1)})
     assert res.shortest_dist == 1.0
@@ -287,7 +285,7 @@ def test_early_exit_soundness(rng):
     for _ in range(8):
         u, w = random_pair(rng, 40, 35, dims=2)
         m = distance_matrix(u, w)
-        lower = compute_bounds(m, 6, 5).min_path
+        lower = block_lower_bound(m.entries, 6, 5)
         seed = search._seed(CoarseBounds(m, 6, 5), search._SEED_MIN)
         first = dtw_batch(m, 6, 5, seed // lower.shape[1], seed % lower.shape[1])[0].min()
         threshold = max(first, lower.ravel()[seed].max())
@@ -390,12 +388,13 @@ def test_redo_reruns_a_placement_inside_the_scaled_pad():
     wu, ww = 20, 16
     mat = rng.uniform(0.0, 1e6, size=(60, 70))
     mat[30 : 30 + wu, 40 : 40 + ww] = mat[:wu, :ww]
-    bm = compute_bounds(mat, wu, ww)
+    cb = CoarseBounds(mat, wu, ww)
+    cb.refine_all()  # the kernel reads the min-pool in every candidate's rows
     best = naive_dtw(mat, wu, ww, (1, 1))
     lb = best + (prune_limit(best) - best) / 2
     assert best + 1e-9 < lb <= prune_limit(best)
     cands = Candidates(a=np.array([1, 31]), b=np.array([1, 41]), lower_bounds=np.array([best / 2, lb]))
-    d, thr, cells = _evaluate(mat, wu, ww, cands, bm, 1, np.inf, None, d=np.array([best, np.inf]))
+    d, thr, cells = _evaluate(mat, wu, ww, cands, cb, 1, np.inf, None, d=np.array([best, np.inf]))
     assert thr == best and cells > 0
     assert d.tolist() == [best, best]
 
@@ -471,7 +470,6 @@ def test_search_builds_no_upper_bound(rng, monkeypatch):
     monkeypatch.setattr(bounds, "upper_bound_matrix", refuse)
     u, w = twin_motif_pair(rng)
     wp = WindowPair(20, 16)
-    assert not hasattr(BoundMatrices, "max_path")
     for radius in (None, 3):
         opts = SearchOptions(band_radius=radius)
         sp, bf = infer_most_similar(u, w, wp, opts), brute_force_search(u, w, wp, opts)
@@ -581,7 +579,7 @@ def test_seeded_optimum_evaluates_only_what_its_bound_admits(seed):
     u, w = twin_motif_pair(np.random.default_rng(seed))
     m = distance_matrix(u, w)
     sp = infer_most_similar(u, w, WindowPair(20, 16))
-    lower = compute_bounds(m, 20, 16).min_path
+    lower = block_lower_bound(m.entries, 20, 16)
     seeds = search._seed(CoarseBounds(m, 20, 16), search._SEED_MIN)
     first = dtw_batch(m, 20, 16, seeds // lower.shape[1], seeds % lower.shape[1])[0].min()
     assert (first == sp.shortest_dist) == (seed in (1, 10))

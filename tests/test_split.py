@@ -13,17 +13,9 @@ import time
 import numpy as np
 import pytest
 
-from dtwsearch import (
-    TimeSeries,
-    distance_matrix,
-    dtw_batch,
-    lower_bound_matrix,
-    min_pool,
-    upper_bound_matrix,
-    upper_bound_path,
-)
+from dtwsearch import CoarseBounds, TimeSeries, distance_matrix, dtw_batch, min_pool
 from dtwsearch import _native
-from oracles import block_path_sums, block_window_sums, blocked_distance_matrix, doubling_min_pool
+from oracles import block_lower_bound, blocked_distance_matrix, doubling_min_pool
 from test_grid_memory import fingerprint, fresh_interpreter, in_fresh_process
 
 
@@ -74,15 +66,8 @@ def test_split_grids_equal_the_numpy_references_bitwise(parts, rng):
         uv, wv = rng.normal(size=(n, 2)), rng.normal(size=(m, 2))
         dm = distance_matrix(TimeSeries(values=uv), TimeSeries(values=wv)).entries
         assert dm.tobytes() == blocked_distance_matrix(uv, wv).tobytes()
-        pool = min_pool(dm, ww)
-        assert pool.tobytes() == doubling_min_pool(dm, ww).tobytes()
-        low = np.zeros((n - wu + 1, pool.shape[1]))
-        block_window_sums(low, pool, wu, 0)
-        assert lower_bound_matrix(pool, wu).tobytes() == low.tobytes()
-        for radius in (None, 2):
-            path = upper_bound_path(wu, ww, radius).tolist()
-            expected = block_path_sums(dm, path, (n - wu + 1, m - ww + 1))
-            assert upper_bound_matrix(dm, wu, ww, radius).tobytes() == expected.tobytes()
+        assert min_pool(dm, ww).tobytes() == doubling_min_pool(dm, ww).tobytes()
+        assert np.concatenate(CoarseBounds(dm, wu, ww).refine_all()).tobytes() == block_lower_bound(dm, wu, ww).tobytes()
 
 
 def test_split_dtw_batch_equals_one_group_per_call(parts, rng):
